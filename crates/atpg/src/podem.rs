@@ -128,6 +128,52 @@ pub fn podem_cube(circuit: &Circuit, fault: InjectedFault, options: PodemOptions
     Search::new(circuit, Goal::Detect(fault), options).run()
 }
 
+/// Deterministic work counters of one PODEM search: what it decided and
+/// what implication cost. Identical inputs give identical counts on every
+/// machine, so they compare search kernels without a stopwatch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// Input assignments chosen by backtrace (flips not included).
+    pub decisions: u64,
+    /// Backtracks, the one that hits the limit included.
+    pub backtracks: u64,
+    /// Gate and input evaluations made by implication.
+    pub evaluations: u64,
+}
+
+impl std::ops::AddAssign for SearchCounters {
+    fn add_assign(&mut self, other: SearchCounters) {
+        self.decisions += other.decisions;
+        self.backtracks += other.backtracks;
+        self.evaluations += other.evaluations;
+    }
+}
+
+/// [`podem_cube`] that also reports the search's [`SearchCounters`].
+///
+/// # Example
+///
+/// ```
+/// use bist_atpg::{podem_cube, podem_cube_counted, PodemOptions};
+/// use bist_logicsim::InjectedFault;
+///
+/// let c17 = bist_netlist::iscas85::c17();
+/// let g10 = c17.find("G10").unwrap();
+/// let fault = InjectedFault { site: g10, pin: None, stuck: false };
+/// let (outcome, counters) = podem_cube_counted(&c17, fault, PodemOptions::default());
+/// assert_eq!(outcome, podem_cube(&c17, fault, PodemOptions::default()));
+/// assert!(counters.decisions >= 1);
+/// ```
+pub fn podem_cube_counted(
+    circuit: &Circuit,
+    fault: InjectedFault,
+    options: PodemOptions,
+) -> (CubeOutcome, SearchCounters) {
+    let mut search = Search::new(circuit, Goal::Detect(fault), options);
+    let outcome = search.run();
+    (outcome, search.counters())
+}
+
 /// Finds an input pattern giving every listed node its required good value
 /// (no fault injected), or proves none exists. Used for the initialization
 /// half of stuck-open pattern pairs.
@@ -208,6 +254,7 @@ struct Search<'c> {
     /// Decision stack: (input position, chosen value, alternative tried?).
     stack: Vec<(usize, bool, bool)>,
     backtracks: u32,
+    decisions: u64,
     /// Minimum distance (in gates) from each node to any primary output —
     /// the D-frontier selection heuristic.
     po_distance: Vec<u32>,
@@ -288,11 +335,20 @@ impl<'c> Search<'c> {
             options,
             stack: Vec::new(),
             backtracks: 0,
+            decisions: 0,
             po_distance,
             cone,
             in_cone,
             cone_outputs,
             reach: vec![false; circuit.num_nodes()],
+        }
+    }
+
+    fn counters(&self) -> SearchCounters {
+        SearchCounters {
+            decisions: self.decisions,
+            backtracks: u64::from(self.backtracks),
+            evaluations: self.sim.evaluations(),
         }
     }
 
@@ -371,6 +427,7 @@ impl<'c> Search<'c> {
                 }
                 Objective::Drive(node, value) => match self.backtrace(node, value) {
                     Some((pi, v)) => {
+                        self.decisions += 1;
                         self.stack.push((pi, v, false));
                         self.assign(pi, Some(v));
                     }

@@ -1,34 +1,87 @@
-//! Scratch calibration probe used while tuning the reproduction; prints
-//! per-circuit full-deterministic flow results with wall-clock timings.
+//! PODEM probe: one search per collapsed stuck-at representative at the
+//! default budget, with no fault dropping — what each outcome costs and
+//! how much work the search kernel does for it.
+//!
+//! ```text
+//! cargo run --release -p bist-bench --bin probe                  # c432, c1908
+//! cargo run --release -p bist-bench --bin probe -- --circuits c3540
+//! ```
+//!
+//! Per circuit it prints the outcome split (tests / redundant / aborted),
+//! the wall time per outcome, the summed deterministic search counters
+//! (decisions, backtracks, gate evaluations) and an
+//! outcome digest: FNV-1a over every target's outcome and pre-fill cube.
+//! A search-kernel change that keeps every decision leaves the split, the
+//! digest, the decisions and the backtracks unchanged; the evaluations
+//! and the seconds are what it may move.
 
-use bist_core::prelude::*;
-use std::io::Write;
 use std::time::Instant;
 
+use bist_atpg::{podem_cube_counted, CubeOutcome, PodemOptions, SearchCounters};
+use bist_bench::schema::Fnv;
+use bist_bench::{banner, ExperimentArgs};
+use bist_fault::{CollapsedUniverse, Fault};
+use bist_logicsim::InjectedFault;
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let names: Vec<&str> = if args.is_empty() {
-        vec!["c432", "c3540"]
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    for name in names {
-        let c = iscas85::circuit(name).unwrap();
-        let mut session = BistSession::new(&c, MixedSchemeConfig::default());
-        for p in [0usize, 1000] {
-            let t1 = Instant::now();
-            let run = session.solve_at(p).unwrap();
-            println!(
-                "{name}: solve({p}) {:.0}s  d={} cov {:.1}% ceiling {:.1}% gen {:.2}mm2 ({:.0}%) chip {:.2}mm2",
-                t1.elapsed().as_secs_f64(),
-                run.det_len,
-                run.coverage.coverage_pct(),
-                run.coverage.achievable_pct(),
-                run.generator_area_mm2,
-                run.overhead_pct(),
-                run.chip_area_mm2
-            );
-            std::io::stdout().flush().ok();
+    banner(
+        "PODEM probe",
+        "one search per stuck-at representative: outcomes, time, work counters",
+    );
+    let args = ExperimentArgs::parse(&["c432", "c1908"]);
+    args.warn_fixed_format("probe");
+    for circuit in args.load_circuits() {
+        let universe = CollapsedUniverse::build(&circuit);
+        let mut counters = SearchCounters::default();
+        let mut digest = Fnv::new();
+        let mut seconds = [0.0f64; 3];
+        let mut counts = [0usize; 3];
+        for fault in universe.representatives().iter() {
+            let Fault::StuckAt { site, pin, value } = *fault else {
+                continue;
+            };
+            let target = InjectedFault {
+                site,
+                pin,
+                stuck: value,
+            };
+            let start = Instant::now();
+            let (outcome, searched) = podem_cube_counted(&circuit, target, PodemOptions::default());
+            let spent = start.elapsed().as_secs_f64();
+            counters += searched;
+            let (slot, text) = match &outcome {
+                CubeOutcome::Test { cube, .. } => (0, cube.to_string()),
+                CubeOutcome::Redundant => (1, "R".to_owned()),
+                CubeOutcome::Aborted => (2, "A".to_owned()),
+            };
+            counts[slot] += 1;
+            seconds[slot] += spent;
+            for byte in text.bytes().chain([b'\n']) {
+                digest.push(byte);
+            }
         }
+        let total: f64 = seconds.iter().sum();
+        println!(
+            "{}: {} targets: {} tests / {} redundant / {} aborted  digest {:016x}",
+            circuit.name(),
+            counts.iter().sum::<usize>(),
+            counts[0],
+            counts[1],
+            counts[2],
+            digest.finish()
+        );
+        println!(
+            "  time {total:.3} s: test {:.3} s, redundant {:.3} s, aborted {:.3} s",
+            seconds[0], seconds[1], seconds[2]
+        );
+        println!(
+            "  decisions {}  backtracks {}  evaluations {}",
+            counters.decisions, counters.backtracks, counters.evaluations
+        );
+        println!(
+            "  {:.0} decisions/s, {:.1} evaluations per decision",
+            counters.decisions as f64 / total,
+            counters.evaluations as f64 / counters.decisions.max(1) as f64
+        );
     }
 }

@@ -206,6 +206,9 @@ pub struct FiveValueSim<'c> {
     /// Optional propagation scope (see [`FiveValueSim::restrict_scope`]):
     /// implication maintains values only for marked nodes.
     scope: Option<Vec<bool>>,
+    /// Node evaluations performed so far (see
+    /// [`FiveValueSim::evaluations`]).
+    evaluations: u64,
 }
 
 impl<'c> FiveValueSim<'c> {
@@ -221,6 +224,7 @@ impl<'c> FiveValueSim<'c> {
             values: vec![V5::X; circuit.num_nodes()],
             queue: LevelQueue::new(graph),
             scope: None,
+            evaluations: 0,
         }
     }
 
@@ -266,6 +270,12 @@ impl<'c> FiveValueSim<'c> {
     /// The circuit this simulator is bound to.
     pub fn circuit(&self) -> &'c Circuit {
         self.circuit
+    }
+
+    /// Node evaluations performed by implication since construction —
+    /// a deterministic work counter.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
     }
 
     /// The injected fault, if any.
@@ -364,12 +374,14 @@ impl<'c> FiveValueSim<'c> {
                     let id = id as usize;
                     self.values[id] = self.eval_node(NodeId::from_index(id));
                 }
+                self.evaluations += g.topo().len() as u64;
             }
             Some(mask) => {
                 for &id in g.topo() {
                     let id = id as usize;
                     if mask[id] {
                         self.values[id] = self.eval_node(NodeId::from_index(id));
+                        self.evaluations += 1;
                     }
                 }
                 self.scope = Some(mask);
@@ -403,6 +415,7 @@ impl<'c> FiveValueSim<'c> {
             return;
         }
         let new_v = self.eval_node(NodeId::from_index(source));
+        self.evaluations += 1;
         if new_v == self.values[source] {
             return;
         }
@@ -424,6 +437,7 @@ impl<'c> FiveValueSim<'c> {
     fn drain_queue(&mut self, mask: Option<&[bool]>) {
         let g = self.graph;
         while let Some(bucket) = self.queue.take_bucket() {
+            self.evaluations += bucket.len() as u64;
             for &id in &bucket {
                 let id = id as usize;
                 let v = self.eval_node(NodeId::from_index(id));
