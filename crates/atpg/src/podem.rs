@@ -1,5 +1,5 @@
 use bist_logicsim::{FiveValueSim, InjectedFault, Pattern, V5};
-use bist_netlist::{Circuit, GateKind, NodeId};
+use bist_netlist::{Circuit, GateKind, NodeId, SimGraph};
 
 use crate::cube::TestCube;
 
@@ -139,6 +139,8 @@ pub struct SearchCounters {
     pub backtracks: u64,
     /// Gate and input evaluations made by implication.
     pub evaluations: u64,
+    /// Node values restored from the implication trail by backtracking.
+    pub trail_restores: u64,
 }
 
 impl std::ops::AddAssign for SearchCounters {
@@ -146,6 +148,7 @@ impl std::ops::AddAssign for SearchCounters {
         self.decisions += other.decisions;
         self.backtracks += other.backtracks;
         self.evaluations += other.evaluations;
+        self.trail_restores += other.trail_restores;
     }
 }
 
@@ -238,68 +241,85 @@ enum Goal {
 enum Objective {
     /// The goal already holds under the current assignment.
     Achieved,
-    /// Next value to pursue: drive `node` (a node with unknown good value)
-    /// to `value`.
-    Drive(NodeId, bool),
+    /// Next value to pursue: drive node `.0` (a node with unknown good
+    /// value) to `.1`.
+    Drive(usize, bool),
     /// The goal is unreachable under the current partial assignment:
     /// backtrack.
     Stuck,
 }
 
+/// One entry of the decision stack.
+#[derive(Debug, Clone, Copy)]
+struct Decision {
+    /// Input position.
+    pi: usize,
+    /// The value currently assigned.
+    value: bool,
+    /// True once the alternative value is being tried.
+    flipped: bool,
+    /// The simulator's trail mark before this decision was implied.
+    mark: usize,
+}
+
 struct Search<'c> {
-    circuit: &'c Circuit,
+    graph: &'c SimGraph,
     sim: FiveValueSim<'c>,
     goal: Goal,
     options: PodemOptions,
-    /// Decision stack: (input position, chosen value, alternative tried?).
-    stack: Vec<(usize, bool, bool)>,
+    stack: Vec<Decision>,
     backtracks: u32,
     decisions: u64,
+    trail_restores: u64,
     /// Minimum distance (in gates) from each node to any primary output —
-    /// the D-frontier selection heuristic.
-    po_distance: Vec<u32>,
+    /// the D-frontier selection heuristic (see [`Circuit::po_distance`]).
+    po_distance: &'c [u32],
     /// Fan-out cone of the fault site (topological order); fault effects —
     /// and therefore the D-frontier and every X-path to an output — live
     /// entirely inside it, so per-iteration scans touch only the cone.
-    cone: Vec<NodeId>,
+    cone: Vec<u32>,
     in_cone: Vec<bool>,
     /// Primary outputs inside the cone.
-    cone_outputs: Vec<NodeId>,
+    cone_outputs: Vec<u32>,
     /// Scratch buffer for the X-path reachability sweep.
     reach: Vec<bool>,
+    /// The D-frontier of the current state, rebuilt in place by
+    /// `d_frontier`.
+    frontier: Vec<u32>,
 }
 
 impl<'c> Search<'c> {
     fn new(circuit: &'c Circuit, goal: Goal, options: PodemOptions) -> Self {
+        let graph = circuit.sim_graph();
         let fault = match goal {
             Goal::Detect(f) => Some(f),
             Goal::Justify(_) => None,
         };
-        let mut po_distance = vec![u32::MAX; circuit.num_nodes()];
-        for &o in circuit.outputs() {
-            po_distance[o.index()] = 0;
-        }
-        for &id in circuit.topo_order().iter().rev() {
-            let d = po_distance[id.index()];
-            if d == u32::MAX {
-                continue;
+        let n = graph.num_nodes();
+        let mut cone = Vec::new();
+        let mut in_cone = vec![false; n];
+        if let Some(f) = fault {
+            // one topological pass from the site; only nodes still ahead
+            // of the scan are marked, so `in_cone` holds exactly the cone
+            let site = f.site.index();
+            let from = graph.topo_pos(site) as usize;
+            in_cone[site] = true;
+            for (pos, &id) in graph.topo().iter().enumerate().skip(from) {
+                if !in_cone[id as usize] {
+                    continue;
+                }
+                cone.push(id);
+                for &s in graph.fanout(id as usize) {
+                    if graph.topo_pos(s as usize) as usize > pos {
+                        in_cone[s as usize] = true;
+                    }
+                }
             }
-            for &f in circuit.node(id).fanin() {
-                po_distance[f.index()] = po_distance[f.index()].min(d + 1);
-            }
-        }
-        let cone = match fault {
-            Some(f) => circuit.fanout_cone(f.site),
-            None => Vec::new(),
-        };
-        let mut in_cone = vec![false; circuit.num_nodes()];
-        for &id in &cone {
-            in_cone[id.index()] = true;
         }
         let cone_outputs = cone
             .iter()
             .copied()
-            .filter(|&id| circuit.is_output(id))
+            .filter(|&id| graph.is_output(id as usize))
             .collect();
         let mut sim = FiveValueSim::new(circuit, fault);
         if let Goal::Justify(reqs) = &goal {
@@ -310,37 +330,39 @@ impl<'c> Search<'c> {
             // value the search can observe bit-identical (the mask is
             // fan-in closed) while skipping the rest of each input's
             // fan-out cone, which on deep circuits is most of the netlist.
-            let mut in_scope = vec![false; circuit.num_nodes()];
-            let mut stack: Vec<NodeId> = Vec::new();
+            let mut in_scope = vec![false; n];
+            let mut stack: Vec<usize> = Vec::new();
             for &(node, _) in reqs {
                 if !in_scope[node.index()] {
                     in_scope[node.index()] = true;
-                    stack.push(node);
+                    stack.push(node.index());
                 }
             }
             while let Some(id) = stack.pop() {
-                for &f in circuit.node(id).fanin() {
-                    if !in_scope[f.index()] {
-                        in_scope[f.index()] = true;
-                        stack.push(f);
+                for &f in graph.fanin(id) {
+                    if !in_scope[f as usize] {
+                        in_scope[f as usize] = true;
+                        stack.push(f as usize);
                     }
                 }
             }
             sim.restrict_scope(in_scope);
         }
         Search {
-            circuit,
+            graph,
             sim,
             goal,
             options,
             stack: Vec::new(),
             backtracks: 0,
             decisions: 0,
-            po_distance,
+            trail_restores: 0,
+            po_distance: circuit.po_distance(),
             cone,
             in_cone,
             cone_outputs,
-            reach: vec![false; circuit.num_nodes()],
+            reach: vec![false; n],
+            frontier: Vec::new(),
         }
     }
 
@@ -349,70 +371,69 @@ impl<'c> Search<'c> {
             decisions: self.decisions,
             backtracks: u64::from(self.backtracks),
             evaluations: self.sim.evaluations(),
+            trail_restores: self.trail_restores,
         }
+    }
+
+    /// The current value of node `id`.
+    fn value(&self, id: usize) -> V5 {
+        self.sim.value(NodeId::from_index(id))
     }
 
     /// True if a fault effect has reached a primary output.
     fn fault_at_output(&self) -> bool {
         self.cone_outputs
             .iter()
-            .any(|&o| self.sim.value(o).is_fault_effect())
+            .any(|&o| self.value(o as usize).is_fault_effect())
     }
 
-    /// The D-frontier, scanning only the fault cone.
-    fn d_frontier(&self) -> Vec<NodeId> {
-        let mut frontier = Vec::new();
+    /// Rebuilds `frontier`: the D-frontier, scanning only the fault cone.
+    fn d_frontier(&mut self) {
+        let g = self.graph;
+        self.frontier.clear();
         for &id in &self.cone {
-            let node = self.circuit.node(id);
-            if !node.kind().is_combinational() || !self.sim.value(id).is_unknown() {
-                continue;
-            }
-            if node
-                .fanin()
-                .iter()
-                .any(|f| self.sim.value(*f).is_fault_effect())
+            let idx = id as usize;
+            if g.kind(idx).is_combinational()
+                && self.value(idx).is_unknown()
+                && g.fanin(idx)
+                    .iter()
+                    .any(|&f| self.value(f as usize).is_fault_effect())
             {
-                frontier.push(id);
+                self.frontier.push(id);
             }
         }
-        frontier
     }
 
     /// True if some frontier gate still has an X-path (through the cone)
     /// to a primary output. Cone-restricted version of
     /// [`FiveValueSim::x_path_to_output_exists`].
-    fn x_path_exists(&mut self, frontier: &[NodeId]) -> bool {
+    fn x_path_exists(&mut self) -> bool {
+        let g = self.graph;
         for &id in &self.cone {
-            self.reach[id.index()] = false;
+            self.reach[id as usize] = false;
         }
         for &o in &self.cone_outputs {
-            if self.sim.value(o).is_unknown() {
-                self.reach[o.index()] = true;
+            if self.value(o as usize).is_unknown() {
+                self.reach[o as usize] = true;
             }
         }
         for &id in self.cone.iter().rev() {
-            if !self.reach[id.index()] {
+            if !self.reach[id as usize] {
                 continue;
             }
-            for &f in self.circuit.node(id).fanin() {
-                if self.in_cone[f.index()] && self.sim.value(f).is_unknown() {
-                    self.reach[f.index()] = true;
+            for &f in g.fanin(id as usize) {
+                let f = f as usize;
+                if self.in_cone[f] && self.value(f).is_unknown() {
+                    self.reach[f] = true;
                 }
             }
         }
-        frontier.iter().any(|g| {
-            self.reach[g.index()]
-                || self
-                    .circuit
-                    .fanout(*g)
+        self.frontier.iter().any(|&gate| {
+            self.reach[gate as usize]
+                || g.fanout(gate as usize)
                     .iter()
-                    .any(|s| self.reach[s.index()])
+                    .any(|&s| self.reach[s as usize])
         })
-    }
-
-    fn assign(&mut self, pi: usize, value: Option<bool>) {
-        self.sim.set_input(pi, value);
-        self.sim.imply_from_input(pi);
     }
 
     fn run(&mut self) -> CubeOutcome {
@@ -420,16 +441,22 @@ impl<'c> Search<'c> {
         loop {
             match self.objective() {
                 Objective::Achieved => {
-                    let width = self.circuit.inputs().len();
+                    let width = self.graph.inputs().len();
                     let cube = TestCube::from_bits((0..width).map(|i| self.sim.input(i)).collect());
                     let pattern = fill_cube(&cube, self.options.fill_seed);
                     return CubeOutcome::Test { pattern, cube };
                 }
                 Objective::Drive(node, value) => match self.backtrace(node, value) {
-                    Some((pi, v)) => {
+                    Some((pi, value)) => {
                         self.decisions += 1;
-                        self.stack.push((pi, v, false));
-                        self.assign(pi, Some(v));
+                        self.stack.push(Decision {
+                            pi,
+                            value,
+                            flipped: false,
+                            mark: self.sim.trail_mark(),
+                        });
+                        self.sim.set_input(pi, Some(value));
+                        self.sim.imply_from_input(pi);
                     }
                     None => {
                         if let Some(outcome) = self.backtrack() {
@@ -448,17 +475,29 @@ impl<'c> Search<'c> {
 
     /// Reverts decisions until an untried alternative exists. Returns
     /// `Some(outcome)` when the search ends.
+    ///
+    /// Each decision is reverted by restoring the simulator's trail to
+    /// the decision's mark, which yields exactly the values implied
+    /// before it: an abandoned decision costs no gate evaluation, and a
+    /// flip implies the alternative value from that state.
     fn backtrack(&mut self) -> Option<CubeOutcome> {
         self.backtracks += 1;
         if self.backtracks > self.options.backtrack_limit {
             return Some(CubeOutcome::Aborted);
         }
-        while let Some((pi, v, tried_both)) = self.stack.pop() {
-            if tried_both {
-                self.assign(pi, None);
+        while let Some(decision) = self.stack.pop() {
+            self.trail_restores += (self.sim.trail_mark() - decision.mark) as u64;
+            self.sim.undo_to(decision.mark);
+            if decision.flipped {
+                self.sim.set_input(decision.pi, None);
             } else {
-                self.stack.push((pi, !v, true));
-                self.assign(pi, Some(!v));
+                self.stack.push(Decision {
+                    value: !decision.value,
+                    flipped: true,
+                    ..decision
+                });
+                self.sim.set_input(decision.pi, Some(!decision.value));
+                self.sim.imply_from_input(decision.pi);
                 return None;
             }
         }
@@ -475,7 +514,7 @@ impl<'c> Search<'c> {
         };
         for &(node, value) in reqs {
             match self.sim.value(node).good() {
-                None => return Objective::Drive(node, value),
+                None => return Objective::Drive(node.index(), value),
                 Some(v) if v != value => return Objective::Stuck,
                 Some(_) => {}
             }
@@ -484,40 +523,42 @@ impl<'c> Search<'c> {
     }
 
     fn detect_objective(&mut self, fault: InjectedFault) -> Objective {
+        let g = self.graph;
         if self.fault_at_output() {
             return Objective::Achieved;
         }
+        let site = fault.site.index();
         // --- activation phase ---
         match fault.pin {
-            None => match self.sim.value(fault.site).good() {
-                None => return Objective::Drive(fault.site, !fault.stuck),
+            None => match self.value(site).good() {
+                None => return Objective::Drive(site, !fault.stuck),
                 Some(v) if v == fault.stuck => return Objective::Stuck,
                 Some(_) => {}
             },
             Some(p) => {
-                let gate = self.circuit.node(fault.site);
-                let driver = gate.fanin()[p as usize];
-                match self.sim.value(driver).good() {
+                let fanin = g.fanin(site);
+                let driver = fanin[p as usize] as usize;
+                match self.value(driver).good() {
                     None => return Objective::Drive(driver, !fault.stuck),
                     Some(v) if v == fault.stuck => return Objective::Stuck,
                     Some(_) => {}
                 }
                 // The driver is activated; the difference must still pass
                 // through the faulted gate itself.
-                let site_value = self.sim.value(fault.site);
+                let site_value = self.value(site);
                 if !site_value.is_fault_effect() {
                     if !site_value.is_unknown() {
                         return Objective::Stuck; // masked by a controlling side input
                     }
                     // drive the side inputs non-controlling
-                    match gate.kind().controlling_value() {
+                    match g.kind(site).controlling_value() {
                         Some(c) => {
-                            for (k, f) in gate.fanin().iter().enumerate() {
+                            for (k, &f) in fanin.iter().enumerate() {
                                 if k == p as usize {
                                     continue;
                                 }
-                                match self.sim.value(*f).good() {
-                                    None => return Objective::Drive(*f, !c),
+                                match self.value(f as usize).good() {
+                                    None => return Objective::Drive(f as usize, !c),
                                     Some(v) if v == c => return Objective::Stuck,
                                     Some(_) => {}
                                 }
@@ -526,12 +567,12 @@ impl<'c> Search<'c> {
                         None => {
                             // XOR family: any defined side value exposes the
                             // difference
-                            for (k, f) in gate.fanin().iter().enumerate() {
+                            for (k, &f) in fanin.iter().enumerate() {
                                 if k == p as usize {
                                     continue;
                                 }
-                                if self.sim.value(*f).good().is_none() {
-                                    return Objective::Drive(*f, false);
+                                if self.value(f as usize).good().is_none() {
+                                    return Objective::Drive(f as usize, false);
                                 }
                             }
                         }
@@ -541,22 +582,23 @@ impl<'c> Search<'c> {
             }
         }
         // --- propagation phase ---
-        let frontier = self.d_frontier();
-        if frontier.is_empty() || !self.x_path_exists(&frontier) {
+        self.d_frontier();
+        if self.frontier.is_empty() || !self.x_path_exists() {
             return Objective::Stuck;
         }
-        let gate = frontier
-            .into_iter()
-            .min_by_key(|g| self.po_distance[g.index()])
-            .expect("frontier non-empty");
-        let node = self.circuit.node(gate);
-        let want = match node.kind().controlling_value() {
+        let gate = self
+            .frontier
+            .iter()
+            .copied()
+            .min_by_key(|&gate| self.po_distance[gate as usize])
+            .expect("frontier non-empty") as usize;
+        let want = match g.kind(gate).controlling_value() {
             Some(c) => !c,
             None => false,
         };
-        for f in node.fanin() {
-            if self.sim.value(*f) == V5::X {
-                return Objective::Drive(*f, want);
+        for &f in g.fanin(gate) {
+            if self.value(f as usize) == V5::X {
+                return Objective::Drive(f as usize, want);
             }
         }
         Objective::Stuck
@@ -564,27 +606,21 @@ impl<'c> Search<'c> {
 
     /// Walks an objective back to an unassigned primary input through
     /// X-valued nodes, tracking inversion parity.
-    fn backtrace(&self, mut node: NodeId, mut value: bool) -> Option<(usize, bool)> {
+    fn backtrace(&self, mut node: usize, mut value: bool) -> Option<(usize, bool)> {
+        let g = self.graph;
         loop {
-            let n = self.circuit.node(node);
-            match n.kind() {
+            match g.kind(node) {
                 GateKind::Input => {
-                    let pos = self
-                        .circuit
-                        .inputs()
-                        .iter()
-                        .position(|&pi| pi == node)
-                        .expect("registered input");
-                    return Some((pos, value));
+                    return Some((g.input_pos(node).expect("registered input"), value));
                 }
                 GateKind::Dff | GateKind::Const0 | GateKind::Const1 => return None,
                 kind => {
                     value ^= kind.is_inverting();
-                    let next = n
-                        .fanin()
+                    node = *g
+                        .fanin(node)
                         .iter()
-                        .find(|f| self.sim.value(**f).good().is_none())?;
-                    node = *next;
+                        .find(|&&f| self.value(f as usize).good().is_none())?
+                        as usize;
                 }
             }
         }

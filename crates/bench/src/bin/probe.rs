@@ -9,7 +9,7 @@
 //!
 //! Per circuit it prints the outcome split (tests / redundant / aborted),
 //! the wall time per outcome, the summed deterministic search counters
-//! (decisions, backtracks, gate evaluations) and an
+//! (decisions, backtracks, gate evaluations, trail restores) and an
 //! outcome digest: FNV-1a over every target's outcome and pre-fill cube.
 //! A search-kernel change that keeps every decision leaves the split, the
 //! digest, the decisions and the backtracks unchanged; the evaluations
@@ -75,8 +75,8 @@ fn main() {
             seconds[0], seconds[1], seconds[2]
         );
         println!(
-            "  decisions {}  backtracks {}  evaluations {}",
-            counters.decisions, counters.backtracks, counters.evaluations
+            "  decisions {}  backtracks {}  evaluations {}  trail restores {}",
+            counters.decisions, counters.backtracks, counters.evaluations, counters.trail_restores
         );
         println!(
             "  {:.0} decisions/s, {:.1} evaluations per decision",

@@ -266,6 +266,7 @@ impl CircuitBuilder {
             name_index,
             is_output,
             sim: std::sync::OnceLock::new(),
+            po_distance: std::sync::OnceLock::new(),
         })
     }
 }

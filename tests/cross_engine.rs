@@ -148,4 +148,94 @@ fn incremental_imply_equals_full_imply() {
             );
         }
     }
+
+    // PODEM's use of the trail: decide (imply one more input), flip
+    // (restore the top decision's mark, imply the other value) and undo
+    // (restore the mark, unassign) must leave every node as a fresh full
+    // implication of the remaining assignment computes it
+    decide_flip_undo_equals_full_imply(&c, fault, 4);
+    let c499 = iscas85::circuit("c499").unwrap();
+    let xor = c499
+        .topo_order()
+        .iter()
+        .copied()
+        .find(|&id| {
+            let node = c499.node(id);
+            node.kind() == bist_netlist::GateKind::Xor && node.fanin().len() >= 2
+        })
+        .expect("c499 is XOR-rich");
+    let pin_fault = InjectedFault {
+        site: xor,
+        pin: Some(1),
+        stuck: true,
+    };
+    decide_flip_undo_equals_full_imply(&c499, pin_fault, 5);
+}
+
+/// Random decide / flip / undo sequences over the undo trail, checked
+/// node by node against a fresh full `imply()` after every step.
+fn decide_flip_undo_equals_full_imply(c: &Circuit, fault: bist_logicsim::InjectedFault, seed: u64) {
+    use bist_logicsim::FiveValueSim;
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let width = c.inputs().len();
+    let mut sim = FiveValueSim::new(c, Some(fault));
+    sim.imply();
+    // (input, value, trail mark before the decision)
+    let mut stack: Vec<(usize, bool, usize)> = Vec::new();
+    let mut assigned: Vec<Option<bool>> = vec![None; width];
+    let mut ops = [0usize; 3];
+    for step in 0..600 {
+        let op = match rng.gen_range(0..10) {
+            _ if stack.is_empty() => 0,
+            _ if stack.len() == width => 2,
+            0..=4 => 0,
+            5..=7 => 1,
+            _ => 2,
+        };
+        ops[op] += 1;
+        match op {
+            0 => {
+                let free: Vec<usize> = (0..width).filter(|&i| assigned[i].is_none()).collect();
+                let pi = free[rng.gen_range(0..free.len())];
+                let value = rng.gen::<bool>();
+                stack.push((pi, value, sim.trail_mark()));
+                sim.set_input(pi, Some(value));
+                sim.imply_from_input(pi);
+                assigned[pi] = Some(value);
+            }
+            1 => {
+                let (pi, value, mark) = stack.pop().expect("non-empty");
+                sim.undo_to(mark);
+                sim.set_input(pi, Some(!value));
+                sim.imply_from_input(pi);
+                stack.push((pi, !value, mark));
+                assigned[pi] = Some(!value);
+            }
+            _ => {
+                let (pi, _, mark) = stack.pop().expect("non-empty");
+                sim.undo_to(mark);
+                sim.set_input(pi, None);
+                assigned[pi] = None;
+            }
+        }
+        let mut reference = FiveValueSim::new(c, Some(fault));
+        for (pi, &value) in assigned.iter().enumerate() {
+            reference.set_input(pi, value);
+        }
+        reference.imply();
+        for idx in 0..c.num_nodes() {
+            let id = bist_netlist::NodeId::from_index(idx);
+            assert_eq!(
+                sim.value(id),
+                reference.value(id),
+                "{}: step {step} (op {op}): node {id} diverged",
+                c.name()
+            );
+        }
+    }
+    assert!(
+        ops.iter().all(|&n| n > 50),
+        "every operation exercised: {ops:?}"
+    );
 }
