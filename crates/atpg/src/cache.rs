@@ -136,8 +136,9 @@ pub(crate) enum RawSearch {
 /// deterministic targets coincide pay for one search between them.
 #[derive(Debug, Default)]
 pub struct CubeCache {
+    /// Per-fault outcomes, each with whether a replay has consumed it.
     #[allow(clippy::disallowed_types)]
-    map: HashMap<CacheKey, CachedGen>,
+    map: HashMap<CacheKey, (CachedGen, bool)>,
     /// Raw detect searches keyed by `(target, backtrack_limit)`.
     // determinism-vetted: keyed lookup only, never iterated
     #[allow(clippy::disallowed_types)]
@@ -167,32 +168,42 @@ impl CubeCache {
         self.map.is_empty()
     }
 
-    /// Searches answered from memory across the cache's lifetime (only
-    /// targets whose result was actually consumed are counted — wasted
-    /// speculative lookups are not).
+    /// Targets answered from memory across the cache's lifetime: replays
+    /// of an outcome an earlier replay already consumed. This is exactly
+    /// what the serial flow reuses, so the count is the same at every
+    /// pool width.
     pub fn hits(&self) -> usize {
         self.hits
     }
 
-    /// Searches that had to run cold.
+    /// Targets whose outcome was consumed for the first time — searched
+    /// for this replay, or searched speculatively by an earlier batch
+    /// whose replay never needed it (a serial flow searches those only
+    /// now). Independent of the pool width, like [`CubeCache::hits`].
     pub fn misses(&self) -> usize {
         self.misses
     }
 
-    pub(crate) fn get(&self, fault: Fault, options: PodemOptions) -> Option<&CachedGen> {
-        self.map.get(&CacheKey::new(fault, options))
+    pub(crate) fn contains(&self, fault: Fault, options: PodemOptions) -> bool {
+        self.map.contains_key(&CacheKey::new(fault, options))
     }
 
     pub(crate) fn insert(&mut self, fault: Fault, options: PodemOptions, generated: CachedGen) {
-        self.map.insert(CacheKey::new(fault, options), generated);
+        self.map
+            .insert(CacheKey::new(fault, options), (generated, false));
     }
 
-    pub(crate) fn count_hit(&mut self) {
-        self.hits += 1;
-    }
-
-    pub(crate) fn count_miss(&mut self) {
-        self.misses += 1;
+    /// The outcome for a replay to consume, counted as a hit when an
+    /// earlier replay consumed it already and as a miss otherwise.
+    pub(crate) fn consume(&mut self, fault: Fault, options: PodemOptions) -> Option<CachedGen> {
+        let (generated, consumed) = self.map.get_mut(&CacheKey::new(fault, options))?;
+        if *consumed {
+            self.hits += 1;
+        } else {
+            *consumed = true;
+            self.misses += 1;
+        }
+        Some(generated.clone())
     }
 
     pub(crate) fn raw_detect(
@@ -263,18 +274,24 @@ mod tests {
             site: NodeId::from_index(7),
         };
         let opts = PodemOptions::default();
-        assert!(cache.get(fault, opts).is_none());
+        assert!(!cache.contains(fault, opts));
         cache.insert(fault, opts, CachedGen::Redundant { calls: 1 });
-        assert_eq!(
-            cache.get(fault, opts),
-            Some(&CachedGen::Redundant { calls: 1 })
-        );
+        assert!(cache.contains(fault, opts));
+        // the first consumption is a miss, every later one a hit
+        for expect_hits in [0, 1, 2] {
+            assert_eq!(
+                cache.consume(fault, opts),
+                Some(CachedGen::Redundant { calls: 1 })
+            );
+            assert_eq!((cache.hits(), cache.misses()), (expect_hits, 1));
+        }
         // a different backtrack budget is a different search
         let tighter = PodemOptions {
             backtrack_limit: 5,
             ..opts
         };
-        assert!(cache.get(fault, tighter).is_none());
+        assert!(!cache.contains(fault, tighter));
+        assert_eq!(cache.consume(fault, tighter), None);
         assert_eq!(cache.len(), 1);
     }
 }

@@ -109,8 +109,9 @@ impl<'c> TestGenerator<'c> {
     /// have their searches run concurrently, then the batch is *replayed*
     /// serially in fault order — a speculative result whose target was
     /// meanwhile dropped by an earlier unit's collateral detection is
-    /// discarded (and kept in the cache), so the unit list, statuses and
-    /// `atpg_calls` match the serial engine exactly.
+    /// discarded (and kept in the cache), so the unit list, statuses,
+    /// `atpg_calls` and the cache's hit and miss counts match the serial
+    /// engine exactly.
     pub fn run_with_cache(self, cache: &mut CubeCache) -> AtpgRun {
         let TestGenerator {
             circuit,
@@ -151,7 +152,7 @@ impl<'c> TestGenerator<'c> {
             let misses: Vec<(usize, Fault)> = batch
                 .iter()
                 .map(|&fi| (fi, *faults.get(fi).expect("index in range")))
-                .filter(|(_, fault)| cache.get(*fault, target_options(options, fault)).is_none())
+                .filter(|(_, fault)| !cache.contains(*fault, target_options(options, fault)))
                 .collect();
 
             // phase 1: the detect search every miss starts with (for a
@@ -210,28 +211,22 @@ impl<'c> TestGenerator<'c> {
             }
 
             // assemble each miss's per-fault outcome from the raw results
-            let freshly_searched: Vec<usize> = misses.iter().map(|&(fi, _)| fi).collect();
             for (_, fault) in misses {
                 let generated = assemble(circuit, cache, options, &fault);
                 cache.insert(fault, target_options(options, &fault), generated);
             }
 
             // deterministic replay in fault order: exactly the serial flow,
-            // with every search answered from the (now warm) cache
+            // with every search answered from the (now warm) cache — and
+            // counted as a hit only where the serial flow would reuse it
             for fi in batch {
                 if session.status_of(fi) != FaultStatus::Undetected {
                     continue; // dropped by an earlier unit of this batch
                 }
                 let fault = *faults.get(fi).expect("index in range");
                 let generated = cache
-                    .get(fault, target_options(options, &fault))
-                    .expect("batch member resolved above")
-                    .clone();
-                if freshly_searched.contains(&fi) {
-                    cache.count_miss();
-                } else {
-                    cache.count_hit();
-                }
+                    .consume(fault, target_options(options, &fault))
+                    .expect("batch member resolved above");
                 match generated {
                     CachedGen::Unit {
                         patterns,

@@ -1060,6 +1060,30 @@ mod tests {
     }
 
     #[test]
+    fn session_stats_are_thread_count_independent() {
+        // every work counter — podem_cache_hits included, although
+        // speculative batches search more targets than the replay
+        // consumes — reads the same at every pool width
+        let c = bist_netlist::iscas85::circuit("c432").expect("known benchmark");
+        let stats_at = |threads| {
+            let mut session = BistSession::new(
+                &c,
+                MixedSchemeConfig {
+                    threads,
+                    ..MixedSchemeConfig::default()
+                },
+            );
+            session.sweep(&[0, 50, 150]).expect("sweep succeeds");
+            session.stats()
+        };
+        let serial = stats_at(1);
+        assert!(serial.podem_cache_hits > 0, "{serial:?}");
+        for threads in [2, 4] {
+            assert_eq!(stats_at(threads), serial, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn adaptive_cadence_skips_cheap_snapshots_and_recovers() {
         // c17 checkpoints are so cheap to re-simulate that the cadence
         // should retain nothing — and fallback requests must still be
