@@ -33,11 +33,12 @@ use crate::spec::{
 ///
 /// One engine serves any number of jobs. [`Engine::submit`] returns an
 /// asynchronous [`JobHandle`] carrying a per-job event feed, a
-/// [`CancelToken`] and a blocking [`JobHandle::wait`]; the synchronous
-/// [`Engine::run`] / [`Engine::run_batch`] are thin submit-then-wait
-/// wrappers. Results are bit-identical at every pool width and to
-/// driving [`BistSession`] by hand — the engine adds scheduling,
-/// validation, progress and cancellation, never different numbers.
+/// [`CancelToken`] and a blocking [`JobHandle::wait`];
+/// [`Engine::run_batch`] is a thin submit-then-wait wrapper, and
+/// [`Engine::run`] runs its one job on the caller's thread. Results are
+/// bit-identical at every pool width and to driving [`BistSession`] by
+/// hand — the engine adds scheduling, validation, progress and
+/// cancellation, never different numbers.
 ///
 /// Cloning an engine is cheap and yields a second handle on the *same*
 /// engine: the clones share the pool width, the result cache (and its
@@ -228,8 +229,15 @@ impl Engine {
         handles
     }
 
-    /// Runs one job to completion — [`Engine::submit`] followed by
-    /// [`JobHandle::wait`].
+    /// Runs one job to completion on the caller's thread, with the
+    /// result [`Engine::submit`] followed by [`JobHandle::wait`] gives.
+    ///
+    /// No scheduler thread is started: the job's pool workers are the only
+    /// threads it spawns. Back-to-back jobs therefore reuse the caller's
+    /// allocator state, where a fresh thread per job leaves fragmented
+    /// allocator arenas behind and ratchets the process's resident memory
+    /// up from job to job. No progress events can be observed; use
+    /// [`Engine::submit`] for a feed.
     ///
     /// # Examples
     ///
@@ -247,6 +255,11 @@ impl Engine {
     ///
     /// Any [`BistError`]: spec validation, circuit realization, the flow
     /// itself.
+    ///
+    /// # Panics
+    ///
+    /// A panic inside the job unwinds to the caller. (A submitted job that
+    /// panics instead reports [`BistError::Canceled`] to its waiter.)
     pub fn run(&self, spec: JobSpec) -> Result<JobResult, BistError> {
         self.run_with_cancel(spec, &CancelToken::new())
     }
@@ -256,10 +269,15 @@ impl Engine {
     /// [`BistError::Canceled`].
     pub fn run_with_cancel(
         &self,
-        spec: JobSpec,
+        mut spec: JobSpec,
         cancel: &CancelToken,
     ) -> Result<JobResult, BistError> {
-        self.submit_with_cancel(spec, cancel).wait()
+        if spec.config().threads == 0 {
+            spec.set_threads(self.inner.threads);
+        }
+        let id = self.next_id();
+        self.execute(id, &spec, cancel, &ProgressFeed::new())
+            .map(|(result, _)| result)
     }
 
     /// Runs a batch of jobs — [`Engine::submit_batch`] followed by a
