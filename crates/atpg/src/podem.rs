@@ -272,7 +272,7 @@ struct Search<'c> {
     decisions: u64,
     trail_restores: u64,
     /// Minimum distance (in gates) from each node to any primary output —
-    /// the D-frontier selection heuristic (see [`Circuit::po_distance`]).
+    /// the D-frontier selection heuristic (see [`SimGraph::po_distance`]).
     po_distance: &'c [u32],
     /// Fan-out cone of the fault site (topological order); fault effects —
     /// and therefore the D-frontier and every X-path to an output — live
@@ -357,7 +357,7 @@ impl<'c> Search<'c> {
             backtracks: 0,
             decisions: 0,
             trail_restores: 0,
-            po_distance: circuit.po_distance(),
+            po_distance: graph.po_distance(),
             cone,
             in_cone,
             cone_outputs,

@@ -266,7 +266,6 @@ impl CircuitBuilder {
             name_index,
             is_output,
             sim: std::sync::OnceLock::new(),
-            po_distance: std::sync::OnceLock::new(),
         })
     }
 }

@@ -98,8 +98,6 @@ pub struct Circuit {
     /// Boxed so the cache adds one pointer to `Circuit`, not the whole
     /// array-of-vectors struct.
     pub(crate) sim: OnceLock<Box<SimGraph>>,
-    /// Lazily built output distances (see [`Circuit::po_distance`]).
-    pub(crate) po_distance: OnceLock<Vec<u32>>,
 }
 
 impl Circuit {
@@ -229,40 +227,6 @@ impl Circuit {
     /// first use and cached — every simulation engine shares one layout.
     pub fn sim_graph(&self) -> &SimGraph {
         self.sim.get_or_init(|| Box::new(SimGraph::build(self)))
-    }
-
-    /// Minimum number of gates from each node to any primary output
-    /// (`u32::MAX` where no output is reachable), indexed by
-    /// [`NodeId::index`]. Built on first use and cached, like
-    /// [`Circuit::sim_graph`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// let c17 = bist_netlist::iscas85::c17();
-    /// let dist = c17.po_distance();
-    /// let g22 = c17.find("G22").unwrap();
-    /// let g10 = c17.find("G10").unwrap();
-    /// assert_eq!(dist[g22.index()], 0); // an output
-    /// assert_eq!(dist[g10.index()], 1); // G22 = NAND(G10, G16)
-    /// ```
-    pub fn po_distance(&self) -> &[u32] {
-        self.po_distance.get_or_init(|| {
-            let mut dist = vec![u32::MAX; self.nodes.len()];
-            for &o in &self.outputs {
-                dist[o.index()] = 0;
-            }
-            for &id in self.topo.iter().rev() {
-                let d = dist[id.index()];
-                if d == u32::MAX {
-                    continue;
-                }
-                for &f in &self.nodes[id.index()].fanin {
-                    dist[f.index()] = dist[f.index()].min(d + 1);
-                }
-            }
-            dist
-        })
     }
 
     /// Summary statistics (gate mix, depth, fan-in/fan-out profile).

@@ -31,6 +31,8 @@
 //! }
 //! ```
 
+use std::sync::OnceLock;
+
 use crate::circuit::Circuit;
 use crate::gate::GateKind;
 
@@ -55,6 +57,8 @@ pub struct SimGraph {
     inputs: Vec<u32>,
     outputs: Vec<u32>,
     num_levels: u32,
+    /// Lazily built output distances (see [`SimGraph::po_distance`]).
+    po_distance: OnceLock<Vec<u32>>,
 }
 
 impl SimGraph {
@@ -121,6 +125,7 @@ impl SimGraph {
             inputs: circuit.inputs().iter().map(|i| i.index() as u32).collect(),
             outputs: circuit.outputs().iter().map(|o| o.index() as u32).collect(),
             num_levels,
+            po_distance: OnceLock::new(),
         }
     }
 
@@ -198,6 +203,40 @@ impl SimGraph {
     pub fn input_pos(&self, id: usize) -> Option<usize> {
         let pos = self.input_pos[id];
         (pos != u32::MAX).then_some(pos as usize)
+    }
+
+    /// Minimum number of gates from each node to any primary output
+    /// (`u32::MAX` where no output is reachable) — PODEM's D-frontier
+    /// heuristic. Built on first use by one reverse topological sweep and
+    /// cached with the view.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let c17 = bist_netlist::iscas85::c17();
+    /// let dist = c17.sim_graph().po_distance();
+    /// let g22 = c17.find("G22").unwrap();
+    /// let g10 = c17.find("G10").unwrap();
+    /// assert_eq!(dist[g22.index()], 0); // an output
+    /// assert_eq!(dist[g10.index()], 1); // G22 = NAND(G10, G16)
+    /// ```
+    pub fn po_distance(&self) -> &[u32] {
+        self.po_distance.get_or_init(|| {
+            let mut dist = vec![u32::MAX; self.num_nodes()];
+            for &o in &self.outputs {
+                dist[o as usize] = 0;
+            }
+            for &id in self.topo.iter().rev() {
+                let d = dist[id as usize];
+                if d == u32::MAX {
+                    continue;
+                }
+                for &f in self.fanin(id as usize) {
+                    dist[f as usize] = dist[f as usize].min(d + 1);
+                }
+            }
+            dist
+        })
     }
 
     /// Evaluates the combinational gate `id` bit-parallel, reading fan-in
