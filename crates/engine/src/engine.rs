@@ -492,12 +492,25 @@ impl Engine {
             self.checkpoint(feed, id, p, &solution.coverage);
             solved.insert(p, solution);
         }
-        let solutions: Vec<MixedSolution> =
-            s.prefix_lengths.iter().map(|p| solved[p].clone()).collect();
+        let stats = session.stats();
+        drop(session);
+        // in request order; a point requested once moves into the result
+        let solutions: Vec<MixedSolution> = s
+            .prefix_lengths
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                if s.prefix_lengths[i + 1..].contains(p) {
+                    solved[p].clone()
+                } else {
+                    solved.remove(p).expect("every requested point was solved")
+                }
+            })
+            .collect();
         Ok(JobResult::Sweep(SweepOutcome {
             circuit: circuit.name().to_owned(),
             summary: SweepSummary::from_solutions(solutions),
-            stats: session.stats(),
+            stats,
         }))
     }
 

@@ -40,7 +40,7 @@ fn solve_at_matches_a_hand_driven_session() {
 #[test]
 fn sweep_is_bit_identical_to_the_session_and_keeps_request_order() {
     let engine = Engine::with_threads(1);
-    let prefixes = [16usize, 0, 8]; // deliberately unordered
+    let prefixes = [16usize, 0, 8, 0]; // deliberately unordered, one repeat
     let result = engine
         .run(JobSpec::sweep(CircuitSource::iscas85("c17"), prefixes))
         .expect("sweep job succeeds");
@@ -56,7 +56,7 @@ fn sweep_is_bit_identical_to_the_session_and_keeps_request_order() {
         .iter()
         .map(|s| s.prefix_len)
         .collect();
-    assert_eq!(got_ps, vec![16, 0, 8], "request order preserved");
+    assert_eq!(got_ps, vec![16, 0, 8, 0], "request order preserved");
     for (a, b) in outcome.summary.solutions().iter().zip(expect.solutions()) {
         assert_eq!(a.det_len, b.det_len);
         assert_eq!(a.coverage, b.coverage);
