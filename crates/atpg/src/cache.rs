@@ -131,7 +131,7 @@ pub(crate) enum RawSearch {
 /// cached and cold flows produce the same sequences.
 ///
 /// Besides the per-fault outcome map it memoizes *raw searches* (see
-/// [`RawSearch`]): seed-independent cube-level results keyed by the
+/// `RawSearch`): seed-independent cube-level results keyed by the
 /// search target rather than the fault consuming it, so faults whose
 /// deterministic targets coincide pay for one search between them.
 #[derive(Debug, Default)]

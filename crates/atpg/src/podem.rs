@@ -296,25 +296,17 @@ impl<'c> Search<'c> {
             Goal::Justify(_) => None,
         };
         let n = graph.num_nodes();
-        let mut cone = Vec::new();
+        let cone: Vec<u32> = match fault {
+            Some(f) => circuit
+                .fanout_cone(f.site)
+                .iter()
+                .map(|id| id.index() as u32)
+                .collect(),
+            None => Vec::new(),
+        };
         let mut in_cone = vec![false; n];
-        if let Some(f) = fault {
-            // one topological pass from the site; only nodes still ahead
-            // of the scan are marked, so `in_cone` holds exactly the cone
-            let site = f.site.index();
-            let from = graph.topo_pos(site) as usize;
-            in_cone[site] = true;
-            for (pos, &id) in graph.topo().iter().enumerate().skip(from) {
-                if !in_cone[id as usize] {
-                    continue;
-                }
-                cone.push(id);
-                for &s in graph.fanout(id as usize) {
-                    if graph.topo_pos(s as usize) as usize > pos {
-                        in_cone[s as usize] = true;
-                    }
-                }
-            }
+        for &id in &cone {
+            in_cone[id as usize] = true;
         }
         let cone_outputs = cone
             .iter()
