@@ -34,8 +34,8 @@
 //! (`atpg_frontier_hits`) plus individual PODEM searches answered from
 //! the per-fault cube cache (`podem_cache_hits`). The pool width
 //! (`--threads`, default `BIST_THREADS`/machine) moves wall-clock only —
-//! the *solved results* are bit-identical at every width; compare
-//! timings and counters only between runs of the same width.
+//! the *solved results* and the work counters are identical at every
+//! width; compare timings only between runs of the same width.
 
 use std::fmt::Write as _;
 use std::time::Instant;
