@@ -10,7 +10,6 @@ const G1: u8 = 2;
 const F0: u8 = 4;
 const F1: u8 = 8;
 const GOOD: u8 = G0 | G1;
-const FAULTY: u8 = F0 | F1;
 const ZEROS: u8 = G0 | F0;
 const ONES: u8 = G1 | F1;
 
@@ -68,29 +67,30 @@ impl V5 {
     /// Builds the composite value from (good, faulty) three-valued parts.
     /// Any unknown part collapses to `X`.
     pub fn from_pair(good: Option<bool>, faulty: Option<bool>) -> V5 {
-        let plane = |v: Option<bool>, zero: u8, one: u8| match v {
-            None => 0,
-            Some(false) => zero,
-            Some(true) => one,
-        };
-        DECODE[usize::from(plane(good, G0, G1) | plane(faulty, F0, F1))]
+        match (good, faulty) {
+            (Some(false), Some(false)) => V5::Zero,
+            (Some(true), Some(true)) => V5::One,
+            (Some(true), Some(false)) => V5::D,
+            (Some(false), Some(true)) => V5::Dbar,
+            _ => V5::X,
+        }
     }
 
     /// The good-machine component (`None` when unknown).
     pub fn good(self) -> Option<bool> {
-        match self as u8 & GOOD {
-            G0 => Some(false),
-            G1 => Some(true),
-            _ => None,
+        match self {
+            V5::Zero | V5::Dbar => Some(false),
+            V5::One | V5::D => Some(true),
+            V5::X => None,
         }
     }
 
     /// The faulty-machine component (`None` when unknown).
     pub fn faulty(self) -> Option<bool> {
-        match self as u8 & FAULTY {
-            F0 => Some(false),
-            F1 => Some(true),
-            _ => None,
+        match self {
+            V5::Zero | V5::D => Some(false),
+            V5::One | V5::Dbar => Some(true),
+            V5::X => None,
         }
     }
 
@@ -141,8 +141,8 @@ fn eval_planes(kind: GateKind, mut codes: impl Iterator<Item = u8>) -> u8 {
         GateKind::Buf => codes.next().unwrap_or(0),
         GateKind::Not => invert(codes.next().unwrap_or(0)),
         GateKind::And | GateKind::Nand | GateKind::Or | GateKind::Nor => {
-            // per plane: some input known 0 (`any`), every input known 1
-            // (`all`)
+            // `any` has each bit some input has, `all` each bit every input
+            // has: AND is 0 where some input is 0 and 1 where all are 1
             let (any, all) = codes.fold((0, ZEROS | ONES), |(any, all), c| (any | c, all & c));
             let code = match kind {
                 GateKind::And | GateKind::Nand => (any & ZEROS) | (all & ONES),
