@@ -1,3 +1,6 @@
+use std::time::Instant;
+
+use bist_fault::{CollapsedUniverse, Fault};
 use bist_logicsim::{FiveValueSim, InjectedFault, Pattern, V5};
 use bist_netlist::{Circuit, GateKind, NodeId, SimGraph};
 
@@ -175,6 +178,61 @@ pub fn podem_cube_counted(
     let mut search = Search::new(circuit, Goal::Detect(fault), options);
     let outcome = search.run();
     (outcome, search.counters())
+}
+
+/// What [`podem_probe`] measured on one circuit.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default)]
+pub struct PodemProbe {
+    /// Targets that got a test, were proven redundant, aborted.
+    pub split: [usize; 3],
+    /// Wall time of the searches with each outcome, in seconds.
+    pub seconds: [f64; 3],
+    /// FNV-1a 64 over every target's outcome and pre-fill cube, one line
+    /// per target.
+    pub digest: u64,
+    /// The searches' summed counters.
+    pub counters: SearchCounters,
+}
+
+/// One [`podem_cube_counted`] search per collapsed stuck-at representative
+/// of `circuit` at the default budget, with no fault dropping. Everything
+/// but the seconds is deterministic: a search-kernel change that keeps
+/// every decision leaves the split, the digest, the decisions and the
+/// backtracks unchanged. The `probe` bench binary prints this; the c432
+/// decision pin in `tests/podem_decisions.rs` asserts it.
+#[doc(hidden)]
+pub fn podem_probe(circuit: &Circuit) -> PodemProbe {
+    let universe = CollapsedUniverse::build(circuit);
+    let mut probe = PodemProbe {
+        digest: 0xCBF2_9CE4_8422_2325,
+        ..PodemProbe::default()
+    };
+    for fault in universe.representatives().iter() {
+        let Fault::StuckAt { site, pin, value } = *fault else {
+            continue;
+        };
+        let target = InjectedFault {
+            site,
+            pin,
+            stuck: value,
+        };
+        let start = Instant::now();
+        let (outcome, counters) = podem_cube_counted(circuit, target, PodemOptions::default());
+        let spent = start.elapsed().as_secs_f64();
+        let (slot, text) = match &outcome {
+            CubeOutcome::Test { cube, .. } => (0, cube.to_string()),
+            CubeOutcome::Redundant => (1, "R".to_owned()),
+            CubeOutcome::Aborted => (2, "A".to_owned()),
+        };
+        probe.split[slot] += 1;
+        probe.seconds[slot] += spent;
+        probe.counters += counters;
+        for byte in text.bytes().chain([b'\n']) {
+            probe.digest = (probe.digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    probe
 }
 
 /// Finds an input pattern giving every listed node its required good value

@@ -6,62 +6,21 @@
 //! one that only changes how much work implication does (the gate
 //! evaluation count) does not.
 //!
-//! The digest is the one the `probe` bench binary prints for c432.
+//! `podem_probe` is what the `probe` bench binary prints, so these are the
+//! figures it reports for c432.
 
-use bist_atpg::{podem_cube_counted, CubeOutcome, PodemOptions, SearchCounters};
-use bist_fault::{CollapsedUniverse, Fault};
-use bist_logicsim::InjectedFault;
-
-/// FNV-1a 64 over `bytes`, continuing from `hash`.
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+use bist_atpg::podem_probe;
 
 #[test]
 fn c432_podem_decisions_are_pinned() {
     let circuit = bist_netlist::iscas85::circuit("c432").expect("c432");
-    let universe = CollapsedUniverse::build(&circuit);
-    let mut split = [0usize; 3];
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
-    let mut counters = SearchCounters::default();
-    for fault in universe.representatives().iter() {
-        let Fault::StuckAt { site, pin, value } = *fault else {
-            continue;
-        };
-        let target = InjectedFault {
-            site,
-            pin,
-            stuck: value,
-        };
-        let (outcome, searched) = podem_cube_counted(&circuit, target, PodemOptions::default());
-        counters += searched;
-        let text = match &outcome {
-            CubeOutcome::Test { cube, .. } => {
-                split[0] += 1;
-                cube.to_string()
-            }
-            CubeOutcome::Redundant => {
-                split[1] += 1;
-                "R".to_owned()
-            }
-            CubeOutcome::Aborted => {
-                split[2] += 1;
-                "A".to_owned()
-            }
-        };
-        digest = fnv1a(digest, text.as_bytes());
-        digest = fnv1a(digest, b"\n");
-    }
-    assert_eq!(split, [601, 43, 23], "tests / redundant / aborted");
+    let probe = podem_probe(&circuit);
+    assert_eq!(probe.split, [601, 43, 23], "tests / redundant / aborted");
     assert_eq!(
-        format!("{digest:016x}"),
+        format!("{:016x}", probe.digest),
         "9629f216712ab0eb",
         "outcome digest"
     );
-    assert_eq!(counters.decisions, 91_866, "decisions");
-    assert_eq!(counters.backtracks, 81_244, "backtracks");
+    assert_eq!(probe.counters.decisions, 91_866, "decisions");
+    assert_eq!(probe.counters.backtracks, 81_244, "backtracks");
 }

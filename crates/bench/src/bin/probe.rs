@@ -13,15 +13,12 @@
 //! outcome digest: FNV-1a over every target's outcome and pre-fill cube.
 //! A search-kernel change that keeps every decision leaves the split, the
 //! digest, the decisions and the backtracks unchanged; the evaluations
-//! and the seconds are what it may move.
+//! and the seconds are what it may move. The figures come from
+//! `bist_atpg::podem_probe`, which `crates/atpg/tests/podem_decisions.rs`
+//! pins for c432.
 
-use std::time::Instant;
-
-use bist_atpg::{podem_cube_counted, CubeOutcome, PodemOptions, SearchCounters};
-use bist_bench::schema::Fnv;
+use bist_atpg::podem_probe;
 use bist_bench::{banner, ExperimentArgs};
-use bist_fault::{CollapsedUniverse, Fault};
-use bist_logicsim::InjectedFault;
 
 fn main() {
     banner(
@@ -31,44 +28,17 @@ fn main() {
     let args = ExperimentArgs::parse(&["c432", "c1908"]);
     args.warn_fixed_format("probe");
     for circuit in args.load_circuits() {
-        let universe = CollapsedUniverse::build(&circuit);
-        let mut counters = SearchCounters::default();
-        let mut digest = Fnv::new();
-        let mut seconds = [0.0f64; 3];
-        let mut counts = [0usize; 3];
-        for fault in universe.representatives().iter() {
-            let Fault::StuckAt { site, pin, value } = *fault else {
-                continue;
-            };
-            let target = InjectedFault {
-                site,
-                pin,
-                stuck: value,
-            };
-            let start = Instant::now();
-            let (outcome, searched) = podem_cube_counted(&circuit, target, PodemOptions::default());
-            let spent = start.elapsed().as_secs_f64();
-            counters += searched;
-            let (slot, text) = match &outcome {
-                CubeOutcome::Test { cube, .. } => (0, cube.to_string()),
-                CubeOutcome::Redundant => (1, "R".to_owned()),
-                CubeOutcome::Aborted => (2, "A".to_owned()),
-            };
-            counts[slot] += 1;
-            seconds[slot] += spent;
-            for byte in text.bytes().chain([b'\n']) {
-                digest.push(byte);
-            }
-        }
+        let probe = podem_probe(&circuit);
+        let (split, seconds, counters) = (probe.split, probe.seconds, probe.counters);
         let total: f64 = seconds.iter().sum();
         println!(
             "{}: {} targets: {} tests / {} redundant / {} aborted  digest {:016x}",
             circuit.name(),
-            counts.iter().sum::<usize>(),
-            counts[0],
-            counts[1],
-            counts[2],
-            digest.finish()
+            split.iter().sum::<usize>(),
+            split[0],
+            split[1],
+            split[2],
+            probe.digest
         );
         println!(
             "  time {total:.3} s: test {:.3} s, redundant {:.3} s, aborted {:.3} s",
