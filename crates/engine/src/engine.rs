@@ -494,19 +494,8 @@ impl Engine {
         }
         let stats = session.stats();
         drop(session);
-        // in request order; a point requested once moves into the result
-        let solutions: Vec<MixedSolution> = s
-            .prefix_lengths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                if s.prefix_lengths[i + 1..].contains(p) {
-                    solved[p].clone()
-                } else {
-                    solved.remove(p).expect("every requested point was solved")
-                }
-            })
-            .collect();
+        let solutions: Vec<MixedSolution> =
+            s.prefix_lengths.iter().map(|p| solved[p].clone()).collect();
         Ok(JobResult::Sweep(SweepOutcome {
             circuit: circuit.name().to_owned(),
             summary: SweepSummary::from_solutions(solutions),
