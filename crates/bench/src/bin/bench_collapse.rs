@@ -21,9 +21,9 @@
 //! 3. **estimation shortcut** — [`estimate_coverage`] with the default
 //!    sample budget against the exact full pass, as a wall-clock ratio
 //!    (`estimate_seconds / full_sim_seconds`);
-//! 4. **collapsed session** — one `BistSession::solve_at` in
-//!    `CollapseMode::InFlow` (representative-only grading and ATPG, the
-//!    default everywhere) versus one in `CollapseMode::FullUniverse`:
+//! 4. **collapsed session** — one `BistSession::solve_at` on
+//!    `BistSession::new` (representative-only grading and ATPG, the
+//!    default everywhere) versus one on `BistSession::full_universe`:
 //!    the end-to-end win of collapsing *inside* the exact flow, with
 //!    the full-universe projections of both legs asserted identical and
 //!    their shared FNV digest written out.
@@ -117,23 +117,21 @@ fn main() {
         );
 
         // --- the same cut inside the exact flow: a full solve (prefix
-        // grading + ATPG top-up + synthesis) per collapse mode ---
+        // grading + ATPG top-up + synthesis) per universe ---
         let session_config = MixedSchemeConfig {
             threads: args.threads,
             ..MixedSchemeConfig::default()
         };
         let session_prefix = patterns_budget / 4;
         let t = Instant::now();
-        let mut collapsed_session =
-            BistSession::with_mode(&circuit, session_config.clone(), CollapseMode::InFlow);
+        let mut collapsed_session = BistSession::new(&circuit, session_config.clone());
         collapsed_session
             .solve_at(session_prefix)
             .expect("collapsed solve succeeds");
         let session_collapsed_seconds = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let mut full_session =
-            BistSession::with_mode(&circuit, session_config, CollapseMode::FullUniverse);
+        let mut full_session = BistSession::full_universe(&circuit, session_config);
         full_session
             .solve_at(session_prefix)
             .expect("full-universe solve succeeds");

@@ -20,9 +20,9 @@
 //! and the solved `(p, d)` frontier. Both paths must produce
 //! bit-identical solutions — enforced here before the numbers are
 //! written. A third pair of legs runs the same sweep on a direct
-//! `BistSession` in `CollapseMode::InFlow` (representative-only
-//! grading, the default everywhere) versus `CollapseMode::FullUniverse`
-//! (the counterfactual): `collapsed_session_speedup` is what collapsing
+//! `BistSession::new` (representative-only grading, the default
+//! everywhere) versus `BistSession::full_universe` (the
+//! counterfactual): `collapsed_session_speedup` is what collapsing
 //! buys inside the exact flow, and the shared `projected_digest` proves
 //! both legs commit the same full-universe statuses at every
 //! checkpoint.
@@ -185,26 +185,25 @@ fn main() {
 
         // --- representative-only grading in the exact flow vs the
         // full-universe counterfactual: the same sweep on one direct
-        // `BistSession` per collapse mode. The projection at every
+        // `BistSession` per universe. The projection at every
         // checkpoint ties the two legs bit-for-bit, so the timing ratio
         // is also an identity check. Each leg is timed twice on a fresh
         // session and the minimum kept: the legs are deterministic, so
         // min-of-N isolates the leg's true cost from scheduler and
         // allocator jitter, which on shared boxes reaches double digits. ---
         let t = Instant::now();
-        let mut collapsed_session =
-            BistSession::with_mode(&circuit, config.clone(), CollapseMode::InFlow);
+        let mut collapsed_session = BistSession::new(&circuit, config.clone());
         let collapsed_summary = collapsed_session
             .sweep(&prefixes)
             .expect("collapsed sweep succeeds");
         let mut collapsed_session_s = t.elapsed().as_secs_f64();
         {
-            let mut retry = BistSession::with_mode(&circuit, config.clone(), CollapseMode::InFlow);
+            let mut retry = BistSession::new(&circuit, config.clone());
             let t = Instant::now();
             retry.sweep(&prefixes).expect("collapsed sweep succeeds");
             collapsed_session_s = collapsed_session_s.min(t.elapsed().as_secs_f64());
         }
-        // the default mode IS the engine path above: the committed
+        // the default session IS the engine path above: the committed
         // solutions must be bit-identical
         for (a, b) in sweep
             .summary
@@ -226,15 +225,13 @@ fn main() {
         }
 
         let t = Instant::now();
-        let mut full_session =
-            BistSession::with_mode(&circuit, config.clone(), CollapseMode::FullUniverse);
+        let mut full_session = BistSession::full_universe(&circuit, config.clone());
         full_session
             .sweep(&prefixes)
             .expect("full-universe sweep succeeds");
         let mut full_universe_session_s = t.elapsed().as_secs_f64();
         {
-            let mut retry =
-                BistSession::with_mode(&circuit, config.clone(), CollapseMode::FullUniverse);
+            let mut retry = BistSession::full_universe(&circuit, config.clone());
             let t = Instant::now();
             retry
                 .sweep(&prefixes)

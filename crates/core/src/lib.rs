@@ -46,8 +46,8 @@ mod session;
 
 pub use mixed::{BuildMixedError, HandoverDecode, MixedGenerator};
 pub use session::{
-    sweep_circuits, BistSession, CollapseMode, MixedSchemeConfig, MixedSchemeError, MixedSolution,
-    SessionStats, SweepSummary,
+    sweep_circuits, BistSession, MixedSchemeConfig, MixedSchemeError, MixedSolution, SessionStats,
+    SweepSummary,
 };
 
 /// One-stop re-exports of the substrate crates.
@@ -66,7 +66,7 @@ pub mod prelude {
     pub use bist_tpg::Tpg;
 
     pub use crate::{
-        sweep_circuits, BistSession, CollapseMode, MixedGenerator, MixedSchemeConfig,
-        MixedSolution, SessionStats, SweepSummary,
+        sweep_circuits, BistSession, MixedGenerator, MixedSchemeConfig, MixedSolution,
+        SessionStats, SweepSummary,
     };
 }

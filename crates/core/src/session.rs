@@ -10,10 +10,10 @@
 //! pseudo-random pattern at most once and never repeats a deterministic
 //! top-up for an already-seen frontier.
 //!
-//! Grading itself runs over collapsed-class representatives only (see
-//! [`CollapseMode`]): the session attaches a `CollapsedUniverse` once
-//! and serves full-universe questions by projection, while every
-//! committed result stays bit-identical to the uncollapsed flow.
+//! Grading itself runs over collapsed-class representatives only: the
+//! session attaches a `CollapsedUniverse` once and serves full-universe
+//! questions by projection, while every committed result reads the
+//! committed positions alone.
 
 use std::cmp::Ordering;
 // determinism-vetted: the HashMap is the frontier→top-up cache, keyed
@@ -58,57 +58,6 @@ impl Default for MixedSchemeConfig {
             atpg: AtpgOptions::default(),
             area: AreaModel::es2_1um(),
             threads: 0,
-        }
-    }
-}
-
-/// Which stuck-at universe a [`BistSession`]'s PPSFP hot loop grades.
-///
-/// Between [`CollapseMode::InFlow`] and [`CollapseMode::Off`] every
-/// committed result — each `(p, d)` point, coverage report, work
-/// counter, digest, cache entry and wire byte — is **bit-identical**;
-/// like [`MixedSchemeConfig::threads`] the default mode moves
-/// wall-clock only. The knob therefore lives on the session, not the
-/// config, and never participates in job digests.
-/// [`CollapseMode::FullUniverse`] is different in kind: it commits the
-/// pre-collapse counterfactual's own (equally valid) points — its ATPG
-/// visits the uncollapsed frontier in a different order — and is tied
-/// to the default mode by projected-status identity instead
-/// ([`BistSession::full_universe_statuses_at`]). Run it cache-less:
-/// since the knob is not in digests, its results would alias the
-/// default mode's cache entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CollapseMode {
-    /// The default: the session builds a [`CollapsedUniverse`] once and
-    /// grades collapsed-class representatives only. The committed mixed
-    /// universe *is* the collapsed one, so reports are untouched; the
-    /// handful of self-representing extras (fanout branches behind
-    /// output pads) are graded alongside it so the session can answer
-    /// full-universe questions exactly by projection
-    /// ([`BistSession::full_universe_prefix_report`]).
-    #[default]
-    InFlow,
-    /// No [`CollapsedUniverse`] is built and the projection APIs are
-    /// unavailable — the exact historical session. Escape hatch:
-    /// `BIST_COLLAPSE=off`.
-    Off,
-    /// Grade the **full** stuck-at universe (plus stuck-open) directly,
-    /// frontier and reports included — the pre-collapse counterfactual
-    /// that the `collapsed_session` blocks of `bench_sweep` /
-    /// `bench_collapse` time the default mode against.
-    /// `BIST_COLLAPSE=full`.
-    FullUniverse,
-}
-
-impl CollapseMode {
-    /// The session default, resolved from the `BIST_COLLAPSE`
-    /// environment variable: `off`, `full`, anything else or unset ⇒
-    /// [`CollapseMode::InFlow`].
-    pub fn from_env() -> Self {
-        match std::env::var("BIST_COLLAPSE").as_deref() {
-            Ok("off") => CollapseMode::Off,
-            Ok("full") => CollapseMode::FullUniverse,
-            _ => CollapseMode::InFlow,
         }
     }
 }
@@ -260,21 +209,18 @@ pub struct BistSession<'c> {
     /// `config.atpg` with the session-wide pool width folded in.
     atpg_options: AtpgOptions,
     /// The committed universe: every report boundary, ATPG frontier and
-    /// cache key speaks this list, in every [`CollapseMode`].
+    /// cache key speaks this list.
     faults: FaultList,
     /// What the simulator actually grades: the committed universe plus,
-    /// in [`CollapseMode::InFlow`], the self-representing extras needed
-    /// to project full-universe answers. Its first `committed_len`
-    /// entries are exactly `faults`.
+    /// when a collapsed universe is attached, the self-representing
+    /// extras needed to project full-universe answers. Its first
+    /// `committed_len` entries are exactly `faults`.
     graded: FaultList,
     /// `faults.len()` — the prefix of every graded status vector that
     /// the committed results are read from.
     committed_len: usize,
-    /// Length of the collapsed stuck-at block that `graded` shares with
-    /// `universe.representatives()` (0 when no universe is attached).
-    collapsed_len: usize,
-    mode: CollapseMode,
-    /// Attached in [`CollapseMode::InFlow`] only.
+    /// Attached by [`BistSession::new`]; `None` only in the
+    /// [`BistSession::full_universe`] counterfactual.
     universe: Option<CollapsedUniverse>,
     /// The shared simulator, advanced monotonically; `simulated` prefix
     /// patterns have been consumed.
@@ -310,52 +256,59 @@ struct Snapshot {
 impl<'c> BistSession<'c> {
     /// Opens a session for `circuit`: builds the mixed fault universe
     /// and its [`CollapsedUniverse`] (each once) and seeds the
-    /// incremental simulator. The collapse mode is
-    /// [`CollapseMode::from_env`] — see [`BistSession::with_mode`] to
-    /// pin one explicitly.
+    /// incremental simulator. The simulator grades collapsed-class
+    /// representatives only: the committed mixed universe *is* the
+    /// collapsed one, and the handful of self-representing extras
+    /// (fanout branches behind output pads) are graded after it so the
+    /// session can answer full-universe questions exactly by projection
+    /// ([`BistSession::full_universe_prefix_report`]).
     pub fn new(circuit: &'c Circuit, config: MixedSchemeConfig) -> Self {
-        Self::with_mode(circuit, config, CollapseMode::from_env())
+        let universe = CollapsedUniverse::build(circuit);
+        let mixed = FaultList::mixed_model(circuit);
+        // the mixed list's stuck-at block is the collapsed list, which is
+        // also the representative list's stable prefix; the extras past
+        // it are the self-representing branch faults only the full
+        // universe needs
+        let collapsed_len = mixed.num_stuck_at();
+        let mut graded = mixed.clone();
+        graded.extend(
+            universe
+                .representatives()
+                .iter()
+                .skip(collapsed_len)
+                .copied(),
+        );
+        debug_assert_eq!(
+            &universe.representatives().faults()[..collapsed_len],
+            &graded.faults()[..collapsed_len],
+            "collapsed stuck-at block must prefix the representatives"
+        );
+        Self::open(circuit, config, mixed, graded, Some(universe))
     }
 
-    /// Opens a session graded under an explicit [`CollapseMode`].
-    /// Committed results are bit-identical in every mode.
+    /// The pre-collapse counterfactual: a session that commits and
+    /// grades the **full** stuck-at universe (plus stuck-open) directly,
+    /// frontier and reports included. Its ATPG visits the uncollapsed
+    /// frontier in a different order, so it commits its own (equally
+    /// valid) points; it is tied to [`BistSession::new`] by
+    /// [`BistSession::full_universe_statuses_at`] identity instead. The
+    /// `bench_sweep` and `bench_collapse` bins time the default session
+    /// against it; no job, cache entry or wire byte ever comes from it.
+    #[doc(hidden)]
+    pub fn full_universe(circuit: &'c Circuit, config: MixedSchemeConfig) -> Self {
+        let mut full = FaultList::stuck_at_full(circuit);
+        full.extend(FaultList::stuck_open(circuit).iter().copied());
+        Self::open(circuit, config, full.clone(), full, None)
+    }
+
     #[allow(clippy::disallowed_types)] // constructs the vetted cache map
-    pub fn with_mode(circuit: &'c Circuit, config: MixedSchemeConfig, mode: CollapseMode) -> Self {
-        let (faults, graded, universe, collapsed_len) = match mode {
-            CollapseMode::Off => {
-                let mixed = FaultList::mixed_model(circuit);
-                (mixed.clone(), mixed, None, 0)
-            }
-            CollapseMode::InFlow => {
-                let universe = CollapsedUniverse::build(circuit);
-                let mixed = FaultList::mixed_model(circuit);
-                // the mixed list's stuck-at block is the collapsed list,
-                // which is also the representative list's stable prefix;
-                // the extras past it are the self-representing branch
-                // faults only the full universe needs
-                let collapsed_len = mixed.num_stuck_at();
-                let mut graded = mixed.clone();
-                graded.extend(
-                    universe
-                        .representatives()
-                        .iter()
-                        .skip(collapsed_len)
-                        .copied(),
-                );
-                debug_assert_eq!(
-                    &universe.representatives().faults()[..collapsed_len],
-                    &graded.faults()[..collapsed_len],
-                    "collapsed stuck-at block must prefix the representatives"
-                );
-                (mixed, graded, Some(universe), collapsed_len)
-            }
-            CollapseMode::FullUniverse => {
-                let mut full = FaultList::stuck_at_full(circuit);
-                let collapsed_len = full.len();
-                full.extend(FaultList::stuck_open(circuit).iter().copied());
-                (full.clone(), full, None, collapsed_len)
-            }
-        };
+    fn open(
+        circuit: &'c Circuit,
+        config: MixedSchemeConfig,
+        faults: FaultList,
+        graded: FaultList,
+        universe: Option<CollapsedUniverse>,
+    ) -> Self {
         let committed_len = faults.len();
         let sim = FaultSim::new(circuit, graded.clone()).with_threads(config.threads);
         let expander = ScanExpander::new(Lfsr::fibonacci(config.poly, 1), circuit.inputs().len());
@@ -374,8 +327,6 @@ impl<'c> BistSession<'c> {
             faults,
             graded,
             committed_len,
-            collapsed_len,
-            mode,
             universe,
             sim,
             expander,
@@ -385,13 +336,6 @@ impl<'c> BistSession<'c> {
             cube_cache: CubeCache::new(),
             stats: SessionStats::default(),
         }
-    }
-
-    /// Rebuilds the session under `mode`, discarding any incremental
-    /// state already accumulated (a fresh-session builder, meant to be
-    /// called right after [`BistSession::new`]).
-    pub fn with_collapse(self, mode: CollapseMode) -> Self {
-        Self::with_mode(self.circuit, self.config, mode)
     }
 
     /// The circuit under test.
@@ -405,18 +349,13 @@ impl<'c> BistSession<'c> {
     }
 
     /// The committed mixed fault universe: the list every report,
-    /// frontier and cache key speaks, whatever the [`CollapseMode`].
+    /// frontier and cache key speaks.
     pub fn faults(&self) -> &FaultList {
         &self.faults
     }
 
-    /// The session's [`CollapseMode`].
-    pub fn collapse_mode(&self) -> CollapseMode {
-        self.mode
-    }
-
-    /// The collapsed universe the session grades through — attached in
-    /// [`CollapseMode::InFlow`] only.
+    /// The collapsed universe the session grades through (`None` only in
+    /// the full-universe counterfactual).
     pub fn collapse(&self) -> Option<&CollapsedUniverse> {
         self.universe.as_ref()
     }
@@ -519,8 +458,7 @@ impl<'c> BistSession<'c> {
             )
         };
         // the cadence rule reads the committed universe only, so the
-        // snapshot schedule (and the stats) are identical in every
-        // collapse mode
+        // graded extras never move the snapshot schedule (or the stats)
         let open = statuses
             .iter()
             .take(self.committed_len)
@@ -706,56 +644,40 @@ impl<'c> BistSession<'c> {
 
     /// Fault statuses after exactly `p` prefix patterns, spoken in the
     /// **full uncollapsed universe**: `stuck_at_full` order followed by
-    /// the stuck-open block. In [`CollapseMode::InFlow`] the stuck-at
-    /// part is projected through the collapsed universe (each class
-    /// member answers with its graded representative's status — the
-    /// bit-identity `tests/collapse_identity.rs` proves); in
-    /// [`CollapseMode::FullUniverse`] it is read straight off the
-    /// simulator. Shares all incremental state with
-    /// [`BistSession::solve_at`].
-    ///
-    /// # Panics
-    ///
-    /// Panics in [`CollapseMode::Off`], which grades the committed list
-    /// only and has no universe to project into.
+    /// the stuck-open block. The stuck-at part is projected through the
+    /// collapsed universe (each class member answers with its graded
+    /// representative's status — the bit-identity
+    /// `tests/collapse_identity.rs` proves); the full-universe
+    /// counterfactual reads it straight off the simulator. Shares all
+    /// incremental state with [`BistSession::solve_at`].
     pub fn full_universe_statuses_at(&mut self, p: usize) -> Vec<FaultStatus> {
         let committed_len = self.committed_len;
-        let collapsed_len = self.collapsed_len;
         let statuses = self.statuses_at(p);
-        match self.mode {
-            CollapseMode::FullUniverse => statuses.to_vec(),
-            CollapseMode::InFlow => {
-                let universe = self.universe.as_ref().expect("InFlow attaches a universe");
-                // representative r sits in the graded list either inside
-                // the collapsed stuck-at block (same index) or among the
-                // extras appended past the committed universe
-                let per_rep: Vec<FaultStatus> = (0..universe.representatives().len())
-                    .map(|r| {
-                        let g = if r < collapsed_len {
-                            r
-                        } else {
-                            committed_len + (r - collapsed_len)
-                        };
-                        statuses[g]
-                    })
-                    .collect();
-                let mut full = universe.project(&per_rep);
-                full.extend_from_slice(&statuses[collapsed_len..committed_len]);
-                full
-            }
-            CollapseMode::Off => {
-                panic!("full-universe projection is unavailable in CollapseMode::Off")
-            }
-        }
+        let Some(universe) = self.universe.as_ref() else {
+            return statuses.to_vec();
+        };
+        // representative r sits in the graded list either inside the
+        // collapsed stuck-at block (same index) or among the extras
+        // appended past the committed universe
+        let collapsed_len = self.faults.num_stuck_at();
+        let per_rep: Vec<FaultStatus> = (0..universe.representatives().len())
+            .map(|r| {
+                let g = if r < collapsed_len {
+                    r
+                } else {
+                    committed_len + (r - collapsed_len)
+                };
+                statuses[g]
+            })
+            .collect();
+        let mut full = universe.project(&per_rep);
+        full.extend_from_slice(&statuses[collapsed_len..committed_len]);
+        full
     }
 
     /// Coverage over the full uncollapsed universe after exactly `p`
     /// prefix patterns — [`BistSession::full_universe_statuses_at`]
     /// folded into a report.
-    ///
-    /// # Panics
-    ///
-    /// Panics in [`CollapseMode::Off`] (no universe to project into).
     pub fn full_universe_prefix_report(&mut self, p: usize) -> CoverageReport {
         CoverageReport::from_statuses(&self.full_universe_statuses_at(p))
     }
@@ -1196,46 +1118,20 @@ mod tests {
     }
 
     #[test]
-    fn collapse_modes_commit_identical_results() {
-        let c = bist_netlist::iscas85::circuit("c432").expect("known benchmark");
-        let prefixes = [0usize, 50, 120];
-        let mut inflow =
-            BistSession::with_mode(&c, MixedSchemeConfig::default(), CollapseMode::InFlow);
-        let mut off = BistSession::with_mode(&c, MixedSchemeConfig::default(), CollapseMode::Off);
-        let a = inflow.sweep(&prefixes).expect("sweep succeeds");
-        let b = off.sweep(&prefixes).expect("sweep succeeds");
-        for (x, y) in a.solutions().iter().zip(b.solutions()) {
-            assert_eq!(x.det_len, y.det_len);
-            assert_eq!(x.generator.deterministic(), y.generator.deterministic());
-            assert_eq!(x.coverage, y.coverage);
-            assert_eq!(x.prefix_coverage, y.prefix_coverage);
-            assert_eq!(
-                x.generator_area_mm2.to_bits(),
-                y.generator_area_mm2.to_bits()
-            );
-        }
-        // snapshot schedule, pattern counts, cache hits: all mode-invariant
-        assert_eq!(inflow.stats(), off.stats());
-        assert!(inflow.collapse().is_some());
-        assert!(off.collapse().is_none());
-        assert_eq!(inflow.faults().len(), off.faults().len());
-    }
-
-    #[test]
     fn projected_full_universe_matches_direct_full_grading() {
         let c = bist_netlist::iscas85::circuit("c432").expect("known benchmark");
         let config = MixedSchemeConfig::default();
-        let mut inflow = BistSession::with_mode(&c, config.clone(), CollapseMode::InFlow);
-        let mut full = BistSession::with_mode(&c, config, CollapseMode::FullUniverse);
-        assert!(full.faults().len() > inflow.faults().len());
+        let mut collapsed = BistSession::new(&c, config.clone());
+        let mut full = BistSession::full_universe(&c, config);
+        assert!(full.faults().len() > collapsed.faults().len());
         for p in [0usize, 40, 90] {
             assert_eq!(
-                inflow.full_universe_statuses_at(p),
+                collapsed.full_universe_statuses_at(p),
                 full.full_universe_statuses_at(p),
                 "p={p}: projection must equal direct full-universe grading"
             );
             assert_eq!(
-                inflow.full_universe_prefix_report(p),
+                collapsed.full_universe_prefix_report(p),
                 full.full_universe_prefix_report(p),
                 "p={p}"
             );
@@ -1246,10 +1142,10 @@ mod tests {
     fn projection_survives_non_monotone_fallback() {
         let c17 = bist_netlist::iscas85::c17();
         let config = MixedSchemeConfig::default();
-        let mut s = BistSession::with_mode(&c17, config.clone(), CollapseMode::InFlow);
+        let mut s = BistSession::new(&c17, config.clone());
         let late = s.full_universe_statuses_at(16);
         let early = s.full_universe_statuses_at(8); // below the front: fallback
-        let mut fresh = BistSession::with_mode(&c17, config, CollapseMode::InFlow);
+        let mut fresh = BistSession::new(&c17, config);
         assert_eq!(fresh.full_universe_statuses_at(8), early);
         assert_eq!(fresh.full_universe_statuses_at(16), late);
     }

@@ -8,18 +8,19 @@
 //! of the hybrid-BIST literature — is served from disk in milliseconds
 //! instead of re-running seconds-to-minutes of fault simulation.
 //!
-//! **What participates in the key** — the canonical `.bench` text of the
-//! *realized* circuit plus its name, the LFSR polynomial, the ATPG
-//! options, the full area model, the job kind and its budgets, and
-//! [`CACHE_SCHEMA_VERSION`]. The
+//! **What participates in the key** — the job's wire encoding
+//! ([`wire::encode_spec`]) with the *realized* circuit inline, and
+//! [`CACHE_SCHEMA_VERSION`]. The wire must carry every field that
+//! changes a result (or a served job would differ from a local one), so
+//! a field added to the spec reaches the key by construction. The
 //! schema version makes invalidation structural: when the stored layout
-//! (or the meaning of any digested field) changes, the version bump
+//! (or the meaning of any encoded field) changes, the version bump
 //! changes every key, and entries written by older trees are simply
 //! never addressed again.
 //!
-//! **What does not** — the pool width (`threads`). Results are
-//! bit-identical at every width, so a result computed at one width may
-//! answer a job requested at any other.
+//! **What does not** — the pool widths (`threads`, `atpg.threads`) and
+//! the estimate-first preview. Results are bit-identical at every width
+//! and with or without the preview, so one entry answers them all.
 //!
 //! **Atomicity** — entries are written to a temporary file in the cache
 //! directory and then renamed into place. On POSIX filesystems the
@@ -35,15 +36,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::SystemTime;
 
-use bist_faultmodel::FaultModel;
-use bist_netlist::{bench, Circuit};
-use bist_synth::CellKind;
+use bist_netlist::Circuit;
 
 use crate::codec::{self, CACHE_SCHEMA_VERSION};
 use crate::digest::Sha256;
 use crate::json;
 use crate::result::JobResult;
-use crate::spec::{HdlLanguage, JobSpec};
+use crate::spec::JobSpec;
+use crate::wire;
 
 /// Environment variable naming the default cache directory.
 pub const CACHE_DIR_ENV: &str = "BIST_CACHE_DIR";
@@ -335,122 +335,34 @@ impl ResultCache {
     }
 }
 
-/// A length-prefixed field write: unambiguous however the neighbouring
-/// fields are shaped (no separator can be forged by field content).
-fn feed(h: &mut Sha256, tag: &str, bytes: &[u8]) {
-    h.update(&(tag.len() as u64).to_le_bytes());
-    h.update(tag.as_bytes());
-    h.update(&(bytes.len() as u64).to_le_bytes());
-    h.update(bytes);
-}
-
-fn feed_u64(h: &mut Sha256, tag: &str, v: u64) {
-    feed(h, tag, &v.to_le_bytes());
-}
-
-/// The content address of one job: a SHA-256 over the canonical
-/// description of everything the result depends on.
-///
-/// Digested: the cache schema version, the job kind, the realized
-/// circuit (name + canonical `.bench` text), the flow configuration
-/// (polynomial, ATPG options, the full area model) and the variant's
-/// budgets. **Not** digested: `config.threads` — results are
-/// bit-identical at every pool width, so the cache deliberately serves
-/// across widths.
+/// The content address of one job: a SHA-256 over
+/// [`CACHE_SCHEMA_VERSION`] and the job's wire encoding
+/// ([`wire::encode_spec`]), with the spec's source replaced by the
+/// realized `circuit` inline — so a named benchmark, its `.bench` text
+/// and the built circuit share one key — and the pool widths and the
+/// estimate-first preview cleared: results are bit-identical whatever
+/// they are, so the cache deliberately serves across them.
 pub fn job_digest(circuit: &Circuit, spec: &JobSpec) -> String {
     let mut h = Sha256::new();
-    feed_u64(&mut h, "cache-schema", CACHE_SCHEMA_VERSION);
-    feed(&mut h, "kind", spec.kind().as_bytes());
-    feed(&mut h, "circuit-name", circuit.name().as_bytes());
-    feed(&mut h, "netlist", bench::write(circuit).as_bytes());
-
-    let config = spec.config();
-    feed_u64(&mut h, "poly", config.poly.mask());
-    feed_u64(
-        &mut h,
-        "atpg-backtrack",
-        u64::from(config.atpg.podem.backtrack_limit),
+    h.update(&CACHE_SCHEMA_VERSION.to_le_bytes());
+    h.update(
+        wire::encode_spec(&spec.identity(circuit))
+            .render()
+            .as_bytes(),
     );
-    feed_u64(&mut h, "atpg-fill-seed", config.atpg.podem.fill_seed);
-    feed_u64(
-        &mut h,
-        "atpg-no-compaction",
-        u64::from(config.atpg.no_compaction),
-    );
-    feed_u64(
-        &mut h,
-        "area-routing",
-        config.area.routing_factor().to_bits(),
-    );
-    for kind in CellKind::ALL {
-        feed_u64(
-            &mut h,
-            &format!("area-{kind}"),
-            config.area.cell_area_um2(kind).to_bits(),
-        );
-    }
-
-    match spec {
-        JobSpec::SolveAt(s) => feed_u64(&mut h, "prefix-len", s.prefix_len as u64),
-        JobSpec::Sweep(s) => {
-            for &p in &s.prefix_lengths {
-                feed_u64(&mut h, "prefix-len", p as u64);
-            }
-        }
-        JobSpec::CoverageCurve(s) => {
-            for &cp in &s.checkpoints {
-                feed_u64(&mut h, "checkpoint", cp as u64);
-            }
-        }
-        JobSpec::Bakeoff(s) => feed_u64(&mut h, "random-length", s.random_length as u64),
-        JobSpec::EmitHdl(s) => {
-            feed_u64(&mut h, "prefix-len", s.prefix_len as u64);
-            let language = match s.language {
-                HdlLanguage::Verilog => "verilog",
-                HdlLanguage::Vhdl => "vhdl",
-                HdlLanguage::Both => "both",
-            };
-            feed(&mut h, "language", language.as_bytes());
-            feed(
-                &mut h,
-                "module-name",
-                s.module_name
-                    .as_deref()
-                    .unwrap_or("\u{0}default")
-                    .as_bytes(),
-            );
-            feed_u64(&mut h, "testbench", u64::from(s.testbench));
-        }
-        JobSpec::CoverageEstimate(s) => {
-            feed_u64(&mut h, "prefix-len", s.prefix_len as u64);
-            feed_u64(&mut h, "samples", s.samples as u64);
-            feed_u64(&mut h, "confidence", u64::from(s.confidence));
-            feed_u64(&mut h, "estimate-seed", s.seed);
-        }
-        // lint has no budgets: the circuit and schema version fully
-        // determine the report
-        JobSpec::AreaReport(_) | JobSpec::Lint(_) => {}
-    }
-
-    // The fault model joined the spec after stuck-at results were
-    // already on disk: the default feeds nothing, so every digest (and
-    // cache entry) minted before the field existed stays valid.
-    let model = spec.fault_model();
-    if !model.is_default() {
-        feed(&mut h, "fault-model", model.name().as_bytes());
-        if let FaultModel::Bridging { pairs, seed } = model {
-            feed_u64(&mut h, "bridge-pairs", u64::from(pairs));
-            feed_u64(&mut h, "bridge-seed", seed);
-        }
-    }
     h.finish_hex()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CircuitSource, SweepSpec};
+    use std::collections::BTreeSet;
+
+    use crate::spec::{CircuitSource, HdlLanguage, SweepSpec};
     use bist_core::MixedSchemeConfig;
+    use bist_faultmodel::FaultModel;
+    use bist_netlist::bench;
+    use bist_synth::{AreaModel, CellKind};
 
     fn c17() -> Circuit {
         bist_netlist::iscas85::c17()
@@ -501,9 +413,8 @@ mod tests {
 
     #[test]
     fn digest_separates_fault_models_but_not_the_default_one() {
-        // The explicit default must hash exactly like specs built before
-        // the field existed (the constructor path): old cache entries
-        // stay addressable.
+        // The wire omits the default model, so an explicit stuck-at spec
+        // and one built by the constructors share one entry.
         let baseline = job_digest(&c17(), &sweep_spec(&[0, 8], 0));
         let with_model = |model: FaultModel| {
             let mut spec = sweep_spec(&[0, 8], 0);
@@ -543,21 +454,130 @@ mod tests {
         assert_eq!(baseline, job_digest(&c17(), &spec));
     }
 
+    /// Scales the routing factor and the first cell's area.
+    fn scale_area(spec: &mut JobSpec, routing: f64, first_cell: f64) {
+        let area = &mut spec.source_and_config_mut().1.area;
+        let cells = CellKind::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| {
+                let scale = if i == 0 { first_cell } else { 1.0 };
+                (kind, area.cell_area_um2(kind) * scale)
+            })
+            .collect();
+        *area = AreaModel::with_areas(cells, area.routing_factor() * routing);
+    }
+
+    /// Sets the fault model of the kinds that carry one, with the
+    /// default bridging pairs and seed moved by the given steps.
+    fn set_fault_model(spec: &mut JobSpec, model: FaultModel, pair_step: u32, seed_step: u64) {
+        let model = match model {
+            FaultModel::Bridging { pairs, seed } => FaultModel::Bridging {
+                pairs: pairs + pair_step,
+                seed: seed + seed_step,
+            },
+            other => other,
+        };
+        match spec {
+            JobSpec::SolveAt(s) => s.fault_model = model,
+            JobSpec::Sweep(s) => s.fault_model = model,
+            JobSpec::CoverageCurve(s) => s.fault_model = model,
+            _ => {}
+        }
+    }
+
     #[test]
-    fn digest_sees_the_configuration() {
-        let mut config = MixedSchemeConfig::default();
-        config.atpg.podem.backtrack_limit += 1;
-        let tweaked = JobSpec::Sweep(SweepSpec {
-            circuit: CircuitSource::iscas85("c17"),
-            config,
-            prefix_lengths: vec![0, 8],
-            fault_model: FaultModel::default(),
-            estimate_first: false,
-        });
-        assert_ne!(
-            job_digest(&c17(), &sweep_spec(&[0, 8], 0)),
-            job_digest(&c17(), &tweaked)
-        );
+    fn digest_moves_with_every_field_the_wire_carries() {
+        // one edit per field the wire carries; on a kind without the
+        // field an edit leaves the spec as it was
+        let edits: [fn(&mut JobSpec); 14] = [
+            |s| s.source_and_config_mut().1.poly = bist_lfsr::primitive_poly(17),
+            |s| s.source_and_config_mut().1.atpg.podem.backtrack_limit += 1,
+            |s| s.source_and_config_mut().1.atpg.podem.fill_seed ^= 1,
+            |s| s.source_and_config_mut().1.atpg.no_compaction = true,
+            |s| scale_area(s, 1.5, 1.0),
+            |s| scale_area(s, 1.0, 1.5),
+            |s| match s {
+                JobSpec::SolveAt(s) => s.prefix_len += 1,
+                JobSpec::Sweep(s) => s.prefix_lengths.reverse(),
+                JobSpec::CoverageCurve(s) => s.checkpoints.push(64),
+                JobSpec::Bakeoff(s) => s.random_length += 1,
+                JobSpec::EmitHdl(s) => s.prefix_len += 1,
+                JobSpec::CoverageEstimate(s) => s.prefix_len += 1,
+                JobSpec::AreaReport(_) | JobSpec::Lint(_) => {}
+            },
+            |s| match s {
+                JobSpec::Sweep(s) => s.prefix_lengths.push(16),
+                JobSpec::EmitHdl(s) => s.language = HdlLanguage::Verilog,
+                JobSpec::CoverageEstimate(s) => s.samples += 1,
+                _ => {}
+            },
+            |s| match s {
+                JobSpec::EmitHdl(s) => s.module_name = Some("tpg".to_owned()),
+                JobSpec::CoverageEstimate(s) => s.confidence = 99,
+                _ => {}
+            },
+            |s| match s {
+                JobSpec::EmitHdl(s) => s.testbench = true,
+                JobSpec::CoverageEstimate(s) => s.seed += 1,
+                _ => {}
+            },
+            |s| set_fault_model(s, FaultModel::Transition, 0, 0),
+            |s| set_fault_model(s, FaultModel::bridging(), 0, 0),
+            |s| set_fault_model(s, FaultModel::bridging(), 1, 0),
+            |s| set_fault_model(s, FaultModel::bridging(), 0, 1),
+        ];
+        // the fields that cannot change a result
+        let neutral: [fn(&mut JobSpec); 3] = [
+            |s| s.set_threads(3),
+            |s| s.source_and_config_mut().1.atpg.threads = 2,
+            |s| match s {
+                JobSpec::SolveAt(s) => s.estimate_first = true,
+                JobSpec::Sweep(s) => s.estimate_first = true,
+                _ => {}
+            },
+        ];
+
+        let c17 = c17();
+        let text = bench::write(&c17);
+        let renamed = bench::parse("c17b", &text).expect("round-trip");
+        let rewired = bench::parse("c17", &text.replacen("NAND", "AND", 1)).expect("a netlist");
+        let source = || CircuitSource::iscas85("c17");
+        let kinds = [
+            JobSpec::solve_at(source(), 8),
+            JobSpec::sweep(source(), [0, 8]),
+            JobSpec::coverage_curve(source(), [4, 32]),
+            JobSpec::bakeoff(source(), 100),
+            JobSpec::emit_hdl(source(), 4),
+            JobSpec::area_report(source()),
+            JobSpec::lint(source()),
+            JobSpec::estimate(source(), 32),
+        ];
+        // every key below is distinct: the kind, the circuit's name and
+        // structure and every edited field each move it
+        let mut keys = BTreeSet::new();
+        for spec in &kinds {
+            let key = job_digest(&c17, spec);
+            for circuit in [&c17, &renamed, &rewired] {
+                assert!(keys.insert(job_digest(circuit, spec)), "{spec:?}");
+            }
+            for edit in edits {
+                let mut edited = spec.clone();
+                edit(&mut edited);
+                if format!("{edited:?}") != format!("{spec:?}") {
+                    assert!(keys.insert(job_digest(&c17, &edited)), "{edited:?}");
+                }
+            }
+            for edit in neutral {
+                let mut edited = spec.clone();
+                edit(&mut edited);
+                assert_eq!(job_digest(&c17, &edited), key, "{edited:?}");
+            }
+        }
+        // 8 kinds x (3 circuits + 6 configurations), then the budgets,
+        // the HDL artefact choice, the estimate's sampling and 4 fault
+        // models on solve, sweep and curve
+        assert_eq!(keys.len(), 8 * 9 + 6 + 3 + 2 + 2 + 3 * 4);
     }
 
     fn unique_dir(tag: &str) -> PathBuf {

@@ -38,8 +38,10 @@ use crate::result::{
 /// entry at the lookup stage already.
 ///
 /// History: 1 = initial layout; 2 = added the `lint` kind; 3 = added
-/// the `estimate` kind.
-pub const CACHE_SCHEMA_VERSION: u64 = 3;
+/// the `estimate` kind; 4 = the key became the job's wire encoding, and
+/// `.bench` text follows node order (lint spans of named circuits
+/// moved).
+pub const CACHE_SCHEMA_VERSION: u64 = 4;
 
 /// Every architecture name a [`BakeoffRow`] can carry. Rows intern their
 /// names as `&'static str`; decoding maps file strings back through this
@@ -740,11 +742,12 @@ mod tests {
         for text in [
             "{}",
             r#"{"cache_schema": 999, "kind": "sweep", "result": {}}"#,
-            r#"{"cache_schema": 3, "kind": "unheard-of", "result": {}}"#,
-            r#"{"cache_schema": 3, "kind": "sweep", "result": {"circuit": "x"}}"#,
-            // entries written before the lint / estimate kinds existed
+            r#"{"cache_schema": 4, "kind": "unheard-of", "result": {}}"#,
+            r#"{"cache_schema": 4, "kind": "sweep", "result": {"circuit": "x"}}"#,
+            // entries written under earlier schemas
             r#"{"cache_schema": 1, "kind": "sweep", "result": {}}"#,
             r#"{"cache_schema": 2, "kind": "sweep", "result": {}}"#,
+            r#"{"cache_schema": 3, "kind": "sweep", "result": {}}"#,
         ] {
             let doc = json::parse(text).expect("well-formed JSON");
             assert!(decode_result(&doc).is_none(), "`{text}` must not decode");

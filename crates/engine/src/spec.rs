@@ -544,19 +544,40 @@ impl JobSpec {
         }
     }
 
+    /// The circuit source and the configuration, mutably.
+    pub(crate) fn source_and_config_mut(&mut self) -> (&mut CircuitSource, &mut MixedSchemeConfig) {
+        match self {
+            JobSpec::SolveAt(s) => (&mut s.circuit, &mut s.config),
+            JobSpec::Sweep(s) => (&mut s.circuit, &mut s.config),
+            JobSpec::CoverageCurve(s) => (&mut s.circuit, &mut s.config),
+            JobSpec::Bakeoff(s) => (&mut s.circuit, &mut s.config),
+            JobSpec::EmitHdl(s) => (&mut s.circuit, &mut s.config),
+            JobSpec::AreaReport(s) => (&mut s.circuit, &mut s.config),
+            JobSpec::Lint(s) => (&mut s.circuit, &mut s.config),
+            JobSpec::CoverageEstimate(s) => (&mut s.circuit, &mut s.config),
+        }
+    }
+
     /// Overrides the pool width of the job's configuration.
     pub(crate) fn set_threads(&mut self, threads: usize) {
-        let config = match self {
-            JobSpec::SolveAt(s) => &mut s.config,
-            JobSpec::Sweep(s) => &mut s.config,
-            JobSpec::CoverageCurve(s) => &mut s.config,
-            JobSpec::Bakeoff(s) => &mut s.config,
-            JobSpec::EmitHdl(s) => &mut s.config,
-            JobSpec::AreaReport(s) => &mut s.config,
-            JobSpec::Lint(s) => &mut s.config,
-            JobSpec::CoverageEstimate(s) => &mut s.config,
-        };
-        config.threads = threads;
+        self.source_and_config_mut().1.threads = threads;
+    }
+
+    /// The job's identity: this spec running on the realized `circuit`
+    /// inline, with every field that cannot change the result cleared —
+    /// both pool widths and the estimate-first preview.
+    pub(crate) fn identity(&self, circuit: &Circuit) -> JobSpec {
+        let mut spec = self.clone();
+        let (source, config) = spec.source_and_config_mut();
+        *source = CircuitSource::Inline(circuit.clone());
+        config.threads = 0;
+        config.atpg.threads = 0;
+        match &mut spec {
+            JobSpec::SolveAt(s) => s.estimate_first = false,
+            JobSpec::Sweep(s) => s.estimate_first = false,
+            _ => {}
+        }
+        spec
     }
 
     /// Checks the spec's own consistency — budgets, artefact

@@ -16,7 +16,10 @@
 //! `f64` crosses as its IEEE-754 bit pattern ([`Json::f64_bits`]), and
 //! an [`CircuitSource::Inline`] circuit crosses as its canonical
 //! `.bench` serialization (it decodes as [`CircuitSource::Bench`],
-//! which realizes to the identical circuit).
+//! which realizes to the identical circuit, node for node). The
+//! encoding of a spec is also its identity: the result cache's key is
+//! [`encode_spec`] of the spec with its circuit inline
+//! ([`job_digest`](crate::cache::job_digest)).
 //!
 //! See `docs/PROTOCOL.md` for the session flow and a field-by-field
 //! reference.
@@ -916,20 +919,26 @@ mod tests {
 
     #[test]
     fn inline_circuits_cross_as_bench_text() {
-        let circuit = CircuitSource::iscas85("c17").realize().expect("c17");
-        let spec = JobSpec::lint(CircuitSource::Inline(circuit.clone()));
-        let line = encode_request(&Request::Submit {
-            spec: Box::new(spec),
-        });
-        let back = decode_request(&line).expect("decodes");
-        let Request::Submit { spec } = back else {
-            panic!("submit round-trips as submit");
-        };
-        assert!(matches!(spec.circuit(), CircuitSource::Bench { .. }));
-        let realized = spec.circuit().realize().expect("bench text realizes");
-        assert_eq!(realized.nodes().len(), circuit.nodes().len());
-        // and the bench form is the fixed point: it re-encodes identically
-        round_trip_request(&Request::Submit { spec });
+        for name in ["c17", "c432"] {
+            let circuit = CircuitSource::iscas85(name).realize().expect("known");
+            let spec = JobSpec::lint(CircuitSource::Inline(circuit.clone()));
+            let line = encode_request(&Request::Submit {
+                spec: Box::new(spec),
+            });
+            let back = decode_request(&line).expect("decodes");
+            let Request::Submit { spec } = back else {
+                panic!("submit round-trips as submit");
+            };
+            assert!(matches!(spec.circuit(), CircuitSource::Bench { .. }));
+            // the bench text realizes to the identical circuit, node for node
+            let realized = spec.circuit().realize().expect("bench text realizes");
+            assert_eq!(realized.name(), circuit.name());
+            assert_eq!(realized.nodes(), circuit.nodes(), "{name}");
+            assert_eq!(realized.inputs(), circuit.inputs(), "{name}");
+            assert_eq!(realized.outputs(), circuit.outputs(), "{name}");
+            // and the bench form is the fixed point: it re-encodes identically
+            round_trip_request(&Request::Submit { spec });
+        }
     }
 
     #[test]

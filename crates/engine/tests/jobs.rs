@@ -415,4 +415,37 @@ fn inline_and_bench_sources_run_like_builtin_ones() {
         from_text.as_solve_at().expect("outcome").solution.det_len,
         inline.as_solve_at().expect("outcome").solution.det_len
     );
+
+    // every spelling of one circuit is one job: the same solution under
+    // one cache key
+    let c432 = bist_netlist::iscas85::circuit("c432").expect("known benchmark");
+    let spellings = [
+        CircuitSource::iscas85("c432"),
+        CircuitSource::bench("c432", bist_netlist::bench::write(&c432)),
+        CircuitSource::Inline(c432),
+    ];
+    let mut digests = Vec::new();
+    let mut solutions = Vec::new();
+    for source in spellings {
+        let spec = JobSpec::solve_at(source, 0);
+        let circuit = spec.circuit().realize().expect("realizes");
+        digests.push(bist_engine::cache::job_digest(&circuit, &spec));
+        let result = engine.run(spec).expect("c432 solves");
+        solutions.push(result.as_solve_at().expect("outcome").solution.clone());
+    }
+    assert_eq!(solutions[0].det_len, 187);
+    for (s, digest) in solutions.iter().zip(&digests).skip(1) {
+        assert_eq!(digest, &digests[0]);
+        assert_eq!(s.det_len, solutions[0].det_len);
+        assert_eq!(
+            s.generator.deterministic(),
+            solutions[0].generator.deterministic()
+        );
+        assert_eq!(s.coverage, solutions[0].coverage);
+        assert_eq!(s.prefix_coverage, solutions[0].prefix_coverage);
+        assert_eq!(
+            s.generator_area_mm2.to_bits(),
+            solutions[0].generator_area_mm2.to_bits()
+        );
+    }
 }

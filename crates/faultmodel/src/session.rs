@@ -5,8 +5,8 @@ use std::rc::Rc;
 
 use bist_bridging::{BridgingFaultList, BridgingSim};
 use bist_core::{
-    BistSession, CollapseMode, MixedGenerator, MixedSchemeConfig, MixedSchemeError, MixedSolution,
-    SessionStats, SweepSummary,
+    BistSession, MixedGenerator, MixedSchemeConfig, MixedSchemeError, MixedSolution, SessionStats,
+    SweepSummary,
 };
 use bist_delay::{
     DelayAtpgOptions, DelayRun, DelayTestGenerator, TransitionFaultList, TransitionSim,
@@ -23,10 +23,8 @@ use crate::model::FaultModel;
 /// * [`FaultModel::StuckAt`] delegates every call to [`BistSession`]
 ///   unchanged, so default-model jobs stay byte-identical to the
 ///   pre-model pipeline (same solutions, same work counters). That
-///   session grades representatives only by default
-///   ([`CollapseMode::InFlow`]) and projects back at every report
-///   boundary, so the delegation stays byte-identical *and* cheaper;
-///   [`ModelSession::with_collapse_mode`] pins the mode explicitly.
+///   session grades collapsed representatives only and reads every
+///   report off the committed positions.
 /// * [`FaultModel::Transition`] runs the same solve shape on the
 ///   transition universe: incremental pair-wise prefix grading, then the
 ///   two-pattern deterministic ATPG ([`DelayTestGenerator`]) as the
@@ -69,40 +67,22 @@ enum Inner<'c> {
 }
 
 impl<'c> ModelSession<'c> {
-    /// Opens a session for `circuit` grading `model`'s universe, with
-    /// the stuck-at collapse mode taken from the environment (see
-    /// [`CollapseMode::from_env`]).
+    /// Opens a session for `circuit` grading `model`'s universe.
     pub fn new(circuit: &'c Circuit, config: MixedSchemeConfig, model: FaultModel) -> Self {
-        Self::with_collapse_mode(circuit, config, model, CollapseMode::from_env())
-    }
-
-    /// Opens a session with an explicit stuck-at [`CollapseMode`]. The
-    /// mode reaches every flow that rides a stuck-at universe — the
-    /// stuck-at model itself and the bridging flow's hardware solve;
-    /// transition grading has no stuck-at universe, so the mode is
-    /// inert there. Committed results are bit-identical in every mode.
-    pub fn with_collapse_mode(
-        circuit: &'c Circuit,
-        config: MixedSchemeConfig,
-        model: FaultModel,
-        mode: CollapseMode,
-    ) -> Self {
         let inner = match model {
-            FaultModel::StuckAt => {
-                Inner::StuckAt(Box::new(BistSession::with_mode(circuit, config, mode)))
-            }
+            FaultModel::StuckAt => Inner::StuckAt(Box::new(BistSession::new(circuit, config))),
             FaultModel::Transition => {
                 Inner::Transition(Box::new(TransitionSession::new(circuit, config)))
             }
-            FaultModel::Bridging { pairs, seed } => Inner::Bridging(Box::new(
-                BridgingSession::new(circuit, config, pairs, seed, mode),
-            )),
+            FaultModel::Bridging { pairs, seed } => {
+                Inner::Bridging(Box::new(BridgingSession::new(circuit, config, pairs, seed)))
+            }
         };
         ModelSession { model, inner }
     }
 
     /// The collapsed stuck-at universe attached to the session, when
-    /// one is ([`FaultModel::StuckAt`] in [`CollapseMode::InFlow`]).
+    /// one is ([`FaultModel::StuckAt`] only).
     pub fn collapse(&self) -> Option<&bist_fault::CollapsedUniverse> {
         match &self.inner {
             Inner::StuckAt(s) => s.collapse(),
@@ -331,17 +311,11 @@ struct BridgingSession<'c> {
 }
 
 impl<'c> BridgingSession<'c> {
-    fn new(
-        circuit: &'c Circuit,
-        config: MixedSchemeConfig,
-        pairs: u32,
-        seed: u64,
-        mode: CollapseMode,
-    ) -> Self {
+    fn new(circuit: &'c Circuit, config: MixedSchemeConfig, pairs: u32, seed: u64) -> Self {
         let universe = BridgingFaultList::sample(circuit, pairs as usize, seed);
         let sim = BridgingSim::new(circuit, universe.clone()).with_threads(config.threads);
         let expander = stream(&config, circuit);
-        let stuck = BistSession::with_mode(circuit, config.clone(), mode);
+        let stuck = BistSession::new(circuit, config.clone());
         BridgingSession {
             circuit,
             config,

@@ -195,8 +195,10 @@ fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
 
 /// Serializes a [`Circuit`] to `.bench` source text.
 ///
-/// The output parses back (see [`parse`]) into a circuit with identical
-/// structure, names, and I/O ordering.
+/// Declarations follow node order (forward references are legal), so
+/// the output parses back (see [`parse`]) into the same circuit node for
+/// node: names, kinds, fan-in ids, input and output order. The text is
+/// therefore a fixed point of `write ∘ parse`.
 ///
 /// # Example
 ///
@@ -204,7 +206,8 @@ fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
 /// let c17 = bist_netlist::iscas85::c17();
 /// let text = bist_netlist::bench::write(&c17);
 /// let back = bist_netlist::bench::parse("c17", &text)?;
-/// assert_eq!(back.num_gates(), c17.num_gates());
+/// assert_eq!(back.nodes(), c17.nodes());
+/// assert_eq!(bist_netlist::bench::write(&back), text);
 /// # Ok::<(), bist_netlist::ParseBenchError>(())
 /// ```
 pub fn write(circuit: &Circuit) -> String {
@@ -216,15 +219,9 @@ pub fn write(circuit: &Circuit) -> String {
         circuit.outputs().len(),
         circuit.num_gates()
     ));
-    for &i in circuit.inputs() {
-        out.push_str(&format!("INPUT({})\n", circuit.node(i).name()));
-    }
-    for &o in circuit.outputs() {
-        out.push_str(&format!("OUTPUT({})\n", circuit.node(o).name()));
-    }
-    for &id in circuit.topo_order() {
-        let node = circuit.node(id);
+    for node in circuit.nodes() {
         if node.kind() == GateKind::Input {
+            out.push_str(&format!("INPUT({})\n", node.name()));
             continue;
         }
         let fanin: Vec<&str> = node
@@ -239,7 +236,25 @@ pub fn write(circuit: &Circuit) -> String {
             fanin.join(", ")
         ));
     }
+    for &o in circuit.outputs() {
+        out.push_str(&format!("OUTPUT({})\n", circuit.node(o).name()));
+    }
     out
+}
+
+/// Asserts that `circuit` survives a `.bench` round trip node for node —
+/// names, kinds, fan-in ids, input and output order — and that the
+/// written text is a fixed point.
+#[cfg(test)]
+pub(crate) fn assert_exact_round_trip(circuit: &Circuit) {
+    let name = circuit.name();
+    let text = write(circuit);
+    let back = parse(name, &text).expect("serialized netlist parses");
+    assert_eq!(back.name(), name);
+    assert_eq!(back.nodes(), circuit.nodes(), "{name}: nodes");
+    assert_eq!(back.inputs(), circuit.inputs(), "{name}: inputs");
+    assert_eq!(back.outputs(), circuit.outputs(), "{name}: outputs");
+    assert_eq!(write(&back), text, "{name}: the text is a fixed point");
 }
 
 #[cfg(test)]
@@ -267,19 +282,7 @@ y = NOT(mid)
 
     #[test]
     fn round_trips() {
-        let c = parse("s", SAMPLE).expect("sample parses");
-        let text = write(&c);
-        let c2 = parse("s", &text).expect("serialized text parses");
-        assert_eq!(c.num_nodes(), c2.num_nodes());
-        assert_eq!(c.inputs().len(), c2.inputs().len());
-        for (a, b) in c.inputs().iter().zip(c2.inputs()) {
-            assert_eq!(c.node(*a).name(), c2.node(*b).name());
-        }
-        // same structure under name lookup
-        for n in c.nodes() {
-            let id2 = c2.find(n.name()).expect("name survives round trip");
-            assert_eq!(c2.node(id2).kind(), n.kind());
-        }
+        assert_exact_round_trip(&parse("s", SAMPLE).expect("sample parses"));
     }
 
     #[test]

@@ -685,10 +685,8 @@ mod tests {
 
     #[test]
     fn bench_round_trip_of_synthetic() {
-        let c = circuit("c432").expect("known benchmark");
-        let text = bench::write(&c);
-        let back = bench::parse("c432", &text).expect("serialized netlist parses");
-        assert_eq!(back.num_nodes(), c.num_nodes());
-        assert_eq!(back.outputs().len(), c.outputs().len());
+        for name in NAMES {
+            bench::assert_exact_round_trip(&circuit(name).expect("known benchmark"));
+        }
     }
 }

@@ -326,12 +326,8 @@ mod tests {
 
     #[test]
     fn circuits_round_trip_through_bench_format() {
-        for name in NAMES.iter().take(4) {
-            let c = circuit(name).expect("known benchmark");
-            let text = bench::write(&c);
-            let back = bench::parse(name, &text).expect("serialized netlist parses");
-            assert_eq!(back.num_gates(), c.num_gates(), "{name}");
-            assert_eq!(back.num_dffs(), c.num_dffs(), "{name}");
+        for name in NAMES {
+            bench::assert_exact_round_trip(&circuit(name).expect("known benchmark"));
         }
     }
 

@@ -13,13 +13,12 @@
 //! the representative-only grading path cannot leak thread-count
 //! nondeterminism into solutions.
 //!
-//! A third battery lifts the identity to the session layer:
-//! representative-only (`CollapseMode::InFlow`) sessions must commit
-//! bit-identical sweeps — every `(p, d)` point, coverage report, and
-//! synthesized deterministic pattern — to the uncollapsed
-//! (`CollapseMode::Off`) flow, across random reconvergent circuits,
-//! widths 1/2/4 and all three fault models, including a non-monotone
-//! revisit below the checkpoint front (the snapshot-resume path).
+//! A third battery covers the session layer. A session grades the
+//! committed mixed list with the collapsed universe's self-representing
+//! extras appended after it; the extras must not move a single
+//! committed status or carry bit, chunked or resumed from a checkpoint,
+//! at any width. The committed c432 sweep is pinned point for point
+//! under stuck-at and bridging faults.
 
 use bist_core::prelude::*;
 use proptest::prelude::*;
@@ -128,75 +127,64 @@ proptest! {
         }
     }
 
-    /// The tentpole identity at the session layer: a representative-only
-    /// (`InFlow`) session commits bit-identical sweeps to the
-    /// uncollapsed (`Off`) flow for every fault model and pool width,
-    /// including a non-monotone revisit below the checkpoint front.
+    /// Appending the projection extras after the committed mixed list
+    /// leaves every committed status and the carry untouched — after
+    /// chunked grading and after a resume from a mid-sequence
+    /// checkpoint, at widths 1/2/4. This is why the session's committed
+    /// results equal grading the mixed list alone.
     #[test]
-    fn inflow_sessions_match_uncollapsed_flow(circuit in arb_circuit()) {
-        let prefixes = [0usize, 12, 30];
-        let models = [
-            FaultModel::StuckAt,
-            FaultModel::Transition,
-            FaultModel::bridging(),
-        ];
-        for model in models {
-            for width in [1usize, 2, 4] {
-                let config = MixedSchemeConfig {
-                    threads: width,
-                    ..MixedSchemeConfig::default()
-                };
-                let mut inflow = ModelSession::with_collapse_mode(
-                    &circuit,
-                    config.clone(),
-                    model,
-                    CollapseMode::InFlow,
-                );
-                let mut off = ModelSession::with_collapse_mode(
-                    &circuit,
-                    config,
-                    model,
-                    CollapseMode::Off,
-                );
-                match (inflow.sweep(&prefixes), off.sweep(&prefixes)) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert_eq!(a.solutions().len(), b.solutions().len());
-                        for (x, y) in a.solutions().iter().zip(b.solutions()) {
-                            prop_assert_eq!(x.prefix_len, y.prefix_len);
-                            prop_assert_eq!(
-                                x.det_len, y.det_len,
-                                "{:?} width {}: det_len diverges at p={}",
-                                model, width, x.prefix_len
-                            );
-                            prop_assert_eq!(&x.coverage, &y.coverage);
-                            prop_assert_eq!(&x.prefix_coverage, &y.prefix_coverage);
-                            prop_assert_eq!(
-                                x.generator.deterministic(),
-                                y.generator.deterministic()
-                            );
-                        }
-                        // a revisit below the committed front resumes
-                        // from a checkpoint snapshot — identical too
-                        let x = inflow.solve_at(7).expect("revisit below front solves");
-                        let y = off.solve_at(7).expect("revisit below front solves");
-                        prop_assert_eq!(x.det_len, y.det_len);
-                        prop_assert_eq!(&x.coverage, &y.coverage);
-                        prop_assert_eq!(
-                            x.generator.deterministic(),
-                            y.generator.deterministic()
-                        );
-                    }
-                    // a degenerate circuit may be unsolvable — then both
-                    // flows must refuse identically
-                    (Err(ea), Err(eb)) => prop_assert_eq!(ea.to_string(), eb.to_string()),
-                    (a, b) => prop_assert!(
-                        false,
-                        "one flow failed where the other solved \
-                         (inflow ok: {}, off ok: {})",
-                        a.is_ok(),
-                        b.is_ok()
-                    ),
-                }
+    fn appended_extras_leave_committed_grading_untouched(
+        circuit in arb_circuit(),
+        seed in any::<u64>(),
+        chunks in 1usize..4,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let universe = CollapsedUniverse::build(&circuit);
+        let committed = FaultList::mixed_model(&circuit);
+        let stuck_at = committed.num_stuck_at();
+        prop_assert_eq!(
+            &universe.representatives().faults()[..stuck_at],
+            &committed.faults()[..stuck_at]
+        );
+        let mut graded = committed.clone();
+        graded.extend(universe.representatives().iter().skip(stuck_at).copied());
+        let n = committed.len();
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let patterns: Vec<Pattern> = (0..chunks * 24)
+            .map(|_| Pattern::random(&mut rng, circuit.inputs().len()))
+            .collect();
+        let (head, tail) = patterns.split_at(chunks * 12);
+
+        let mut alone = FaultSim::new(&circuit, committed).with_threads(1);
+        alone.simulate(head);
+        let (mid_statuses, mid_carry) = (alone.statuses().to_vec(), alone.carry_bits().to_vec());
+        alone.simulate(tail);
+
+        for width in [1usize, 2, 4] {
+            let mut with_extras = FaultSim::new(&circuit, graded.clone()).with_threads(width);
+            for chunk in head.chunks(8) {
+                with_extras.simulate(chunk);
+            }
+            prop_assert_eq!(&with_extras.statuses()[..n], &mid_statuses[..], "width {}", width);
+            prop_assert_eq!(with_extras.carry_bits(), &mid_carry[..], "width {}", width);
+
+            let mut resumed = FaultSim::resume(
+                &circuit,
+                graded.clone(),
+                with_extras.statuses(),
+                with_extras.carry_bits(),
+                head.len() as u32,
+            )
+            .with_threads(width);
+            for chunk in tail.chunks(8) {
+                with_extras.simulate(chunk);
+                resumed.simulate(chunk);
+            }
+            for sim in [&with_extras, &resumed] {
+                prop_assert_eq!(&sim.statuses()[..n], alone.statuses(), "width {}", width);
+                prop_assert_eq!(sim.carry_bits(), alone.carry_bits(), "width {}", width);
             }
         }
     }
@@ -281,5 +269,114 @@ fn model_solves_are_width_invariant() {
         }
         assert_eq!(outcomes[0], outcomes[1], "{model:?}: width 1 vs 2");
         assert_eq!(outcomes[0], outcomes[2], "{model:?}: width 1 vs 4");
+    }
+}
+
+/// One committed point: `(p, d)`, the coverage and prefix-coverage
+/// reports as `[detected, redundant, aborted, undetected]`, the bits of
+/// the generator area and the SHA-256 of the deterministic patterns, one
+/// per line.
+type Point = (usize, usize, [usize; 4], [usize; 4], u64, &'static str);
+
+const C432_PATTERNS: [&str; 3] = [
+    "54bd3ef06ca993c2f6ed6f647c008ac72c1cb97dc2ee38c780350ef2d2049e68",
+    "53c202b7afd0476902c1771531dfb1a91f7479e3f9e147023b29b9fa58f6ab7a",
+    "4acb7a05fe7c5f87fc143948900c6e535f5a6efb0059226a0bdfdeac8f9c0611",
+];
+
+/// The committed c432 sweep, point for point, as the session that
+/// graded the committed list alone produced it. Bridging reuses the
+/// stuck-at hardware, so only its coverage reports differ.
+#[test]
+fn committed_c432_sweep_is_pinned() {
+    let [p0, p50, p100] = C432_PATTERNS;
+    let pins: [(FaultModel, [Point; 3]); 2] = [
+        (
+            FaultModel::StuckAt,
+            [
+                (
+                    0,
+                    187,
+                    [1044, 81, 34, 0],
+                    [0, 0, 0, 1159],
+                    0x4014_0e56_8a50_507a,
+                    p0,
+                ),
+                (
+                    50,
+                    166,
+                    [1043, 81, 35, 0],
+                    [619, 0, 0, 540],
+                    0x4012_ba8c_dea0_33e8,
+                    p50,
+                ),
+                (
+                    100,
+                    165,
+                    [1044, 81, 34, 0],
+                    [701, 0, 0, 458],
+                    0x4012_145e_d4a1_ad64,
+                    p100,
+                ),
+            ],
+        ),
+        (
+            FaultModel::bridging(),
+            [
+                (
+                    0,
+                    187,
+                    [254, 0, 0, 2],
+                    [0, 0, 0, 256],
+                    0x4014_0e56_8a50_507a,
+                    p0,
+                ),
+                (
+                    50,
+                    166,
+                    [254, 0, 0, 2],
+                    [214, 0, 0, 42],
+                    0x4012_ba8c_dea0_33e8,
+                    p50,
+                ),
+                (
+                    100,
+                    165,
+                    [254, 0, 0, 2],
+                    [231, 0, 0, 25],
+                    0x4012_145e_d4a1_ad64,
+                    p100,
+                ),
+            ],
+        ),
+    ];
+    let report = |r: CoverageReport| [r.detected, r.redundant, r.aborted, r.undetected];
+    let c432 = bist::netlist::iscas85::circuit("c432").expect("known benchmark");
+    for (model, points) in pins {
+        let mut session = ModelSession::new(&c432, MixedSchemeConfig::default(), model);
+        let summary = session.sweep(&[0, 50, 100]).expect("c432 solves");
+        for (s, (p, d, coverage, prefix_coverage, area_bits, patterns)) in
+            summary.solutions().iter().zip(points)
+        {
+            let text: String = s
+                .generator
+                .deterministic()
+                .iter()
+                .map(|pattern| format!("{pattern}\n"))
+                .collect();
+            assert_eq!((s.prefix_len, s.det_len), (p, d), "{model:?}");
+            assert_eq!(report(s.coverage), coverage, "{model:?} p={p}");
+            assert_eq!(
+                report(s.prefix_coverage),
+                prefix_coverage,
+                "{model:?} p={p}"
+            );
+            assert_eq!(s.generator_area_mm2.to_bits(), area_bits, "{model:?} p={p}");
+            assert_eq!(
+                bist::engine::digest::sha256_hex(text.as_bytes()),
+                patterns,
+                "{model:?} p={p}"
+            );
+        }
     }
 }
