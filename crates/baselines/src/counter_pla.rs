@@ -2,9 +2,7 @@ use std::fmt;
 
 use bist_logicsim::{Pattern, SeqSim};
 use bist_netlist::{Circuit, CircuitBuilder, GateKind, NodeId};
-use bist_synth::{
-    count_cells, synthesize_pla_with, CellCount, OutputSpec, SynthesisOptions, TwoLevelNetwork,
-};
+use bist_synth::{count_cells, synthesize_pla, CellCount, TwoLevelNetwork};
 
 use bist_tpg::Tpg;
 
@@ -75,27 +73,13 @@ pub struct CounterPla {
 }
 
 impl CounterPla {
-    /// Synthesizes a counter-addressed decoder replaying `patterns`, with
-    /// default minimizer options.
+    /// Synthesizes a counter-addressed decoder replaying `patterns`.
     ///
     /// # Errors
     ///
     /// Returns [`BuildCounterPlaError`] for empty sequences or
     /// inconsistent widths.
     pub fn synthesize(patterns: &[Pattern]) -> Result<Self, BuildCounterPlaError> {
-        Self::synthesize_with(patterns, SynthesisOptions::default())
-    }
-
-    /// Synthesizes with explicit minimizer options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildCounterPlaError`] for empty sequences or
-    /// inconsistent widths.
-    pub fn synthesize_with(
-        patterns: &[Pattern],
-        options: SynthesisOptions,
-    ) -> Result<Self, BuildCounterPlaError> {
         if patterns.is_empty() {
             return Err(BuildCounterPlaError::EmptySequence);
         }
@@ -111,20 +95,12 @@ impl CounterPla {
         }
         let addr_bits = address_bits(patterns.len());
 
-        // one spec per pattern bit: on/off sets over the counter codes;
-        // codes >= d are don't-cares (never reached before BIST stop)
-        let mut specs = vec![OutputSpec::default(); width];
-        for (i, p) in patterns.iter().enumerate() {
-            let code = Pattern::from_fn(addr_bits, |b| (i >> b) & 1 == 1);
-            for (b, spec) in specs.iter_mut().enumerate() {
-                if p.get(b) {
-                    spec.on.push(code.clone());
-                } else {
-                    spec.off.push(code.clone());
-                }
-            }
-        }
-        let network = synthesize_pla_with(addr_bits, &specs, options);
+        // one care row per pattern: counter code -> pattern; codes >= d
+        // are don't-cares (never reached before BIST stop)
+        let codes: Vec<Pattern> = (0..patterns.len())
+            .map(|i| Pattern::from_fn(addr_bits, |b| (i >> b) & 1 == 1))
+            .collect();
+        let network = synthesize_pla(addr_bits, &codes, patterns);
         let netlist = build_netlist(addr_bits, &network);
         Ok(CounterPla {
             patterns: patterns.to_vec(),

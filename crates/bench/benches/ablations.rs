@@ -1,20 +1,16 @@
-//! Ablation benches for the design choices `DESIGN.md` calls out:
+//! Ablation benches for two design choices:
 //!
-//! * **term sharing** — the PLA-style cross-output term reuse inside the
-//!   LFSROM next-state network (on vs off),
 //! * **ATPG compaction** — reverse-order compaction of the deterministic
 //!   sequence (on vs off) and its knock-on effect on generator area,
 //! * **fault-model weight** — grading cost of stuck-at-only vs the full
 //!   mixed model.
 //!
-//! Each ablation prints its effect once (the numbers quoted in
-//! `EXPERIMENTS.md`), then benchmarks both arms.
+//! Each ablation prints its effect on c432 once, then benchmarks both
+//! arms.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use bist_core::prelude::*;
-use bist_lfsrom::LfsromOptions;
-use bist_synth::SynthesisOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,35 +46,6 @@ fn ablation_report() {
         g_uncompacted.area_mm2(&model)
     );
 
-    // --- term sharing ---
-    let shared = LfsromGenerator::synthesize_with(
-        &compacted,
-        LfsromOptions {
-            synthesis: SynthesisOptions { share_terms: true },
-        },
-    )
-    .expect("synthesis");
-    let unshared = LfsromGenerator::synthesize_with(
-        &compacted,
-        LfsromOptions {
-            synthesis: SynthesisOptions { share_terms: false },
-        },
-    )
-    .expect("synthesis");
-    println!("[ablation] PLA term sharing on the same sequence:");
-    println!(
-        "  shared  : {:>4} terms, {:>5} literals -> {:.3} mm²",
-        shared.network().num_terms(),
-        shared.network().num_literals(),
-        shared.area_mm2(&model)
-    );
-    println!(
-        "  split   : {:>4} terms, {:>5} literals -> {:.3} mm²",
-        unshared.network().num_terms(),
-        unshared.network().num_literals(),
-        unshared.area_mm2(&model)
-    );
-
     // --- fault model ---
     let mut rng = StdRng::seed_from_u64(1);
     let patterns: Vec<Pattern> = (0..256)
@@ -96,33 +63,10 @@ fn ablation_report() {
 fn bench(c: &mut Criterion) {
     ablation_report();
     let circuit = iscas85::circuit("c432").expect("known benchmark");
-    let sequence = deterministic_set(&circuit, true);
     let patterns = pseudo_random_patterns(paper_poly(), circuit.inputs().len(), 256);
 
     let mut group = c.benchmark_group("ablations");
     group.sample_size(10);
-    group.bench_function("lfsrom_synthesis_shared_terms", |b| {
-        b.iter(|| {
-            LfsromGenerator::synthesize_with(
-                &sequence,
-                LfsromOptions {
-                    synthesis: SynthesisOptions { share_terms: true },
-                },
-            )
-            .expect("synthesis")
-        })
-    });
-    group.bench_function("lfsrom_synthesis_split_terms", |b| {
-        b.iter(|| {
-            LfsromGenerator::synthesize_with(
-                &sequence,
-                LfsromOptions {
-                    synthesis: SynthesisOptions { share_terms: false },
-                },
-            )
-            .expect("synthesis")
-        })
-    });
     group.bench_function("faultsim_stuck_at_only", |b| {
         let faults = FaultList::stuck_at_collapsed(&circuit);
         b.iter_batched(

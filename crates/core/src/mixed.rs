@@ -1,7 +1,7 @@
 use std::fmt;
 
 use bist_lfsr::{Lfsr, Polynomial, ScanExpander};
-use bist_lfsrom::{LfsromGenerator, SynthesizeLfsromError};
+use bist_lfsrom::{next_state_network, SynthesizeLfsromError};
 use bist_logicsim::{Pattern, SeqSim};
 use bist_netlist::{Circuit, CircuitBuilder, GateKind, NodeId};
 use bist_synth::{count_cells, AreaModel, CellCount};
@@ -162,21 +162,19 @@ impl MixedGenerator {
         let handover_state = expander.lfsr_state();
         let bridge = expander.chain();
 
-        // LFSROM over (bridge +) deterministic suffix
-        let lfsrom = if deterministic.is_empty() {
-            None
+        // LFSROM next-state network over (bridge +) deterministic suffix
+        let (network, codes) = if deterministic.is_empty() {
+            (None, Vec::new())
         } else {
             let mut seq = Vec::with_capacity(deterministic.len() + 1);
             if prefix_len > 0 {
                 seq.push(bridge);
             }
             seq.extend(deterministic.iter().cloned());
-            Some(LfsromGenerator::synthesize(&seq)?)
+            let (network, codes) = next_state_network(&seq)?;
+            (Some(network), codes)
         };
-        let (codes, code_bits) = match &lfsrom {
-            Some(g) => (g.codes().to_vec(), g.extra_flip_flops()),
-            None => (Vec::new(), 0),
-        };
+        let code_bits = network.as_ref().map_or(0, |net| net.width() - width);
 
         let decode = if prefix_len == 0 || deterministic.is_empty() {
             HandoverDecode::None
@@ -195,14 +193,7 @@ impl MixedGenerator {
             }
         };
 
-        let netlist = build_netlist(
-            width,
-            poly,
-            prefix_len,
-            lfsrom.as_ref().map(LfsromGenerator::network),
-            code_bits,
-            decode,
-        );
+        let netlist = build_netlist(width, poly, prefix_len, network.as_ref(), code_bits, decode);
 
         Ok(MixedGenerator {
             width,

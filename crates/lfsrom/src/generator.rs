@@ -6,19 +6,10 @@ use std::fmt;
 
 use bist_logicsim::{Pattern, SeqSim};
 use bist_netlist::{Circuit, CircuitBuilder, GateKind, NodeId};
-use bist_synth::{
-    count_cells, synthesize_pla_with, AreaModel, CellCount, OutputSpec, SynthesisOptions,
-    TwoLevelNetwork,
-};
+use bist_synth::{count_cells, synthesize_pla, AreaModel, CellCount, TwoLevelNetwork};
 
-/// Options for LFSROM synthesis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LfsromOptions {
-    /// Options handed to the two-level minimizer (term sharing etc.).
-    pub synthesis: SynthesisOptions,
-}
-
-/// Error returned by [`LfsromGenerator::synthesize`].
+/// Error returned by [`LfsromGenerator::synthesize`] and
+/// [`next_state_network`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynthesizeLfsromError {
     /// The target sequence holds no patterns.
@@ -34,6 +25,13 @@ pub enum SynthesizeLfsromError {
     },
     /// The sequence has zero-width patterns.
     ZeroWidth,
+    /// The synthesized next-state network does not map the state at
+    /// sequence position `step` to the state at the next position. This
+    /// is a minimizer defect; the network is never used.
+    BrokenNetwork {
+        /// The first step whose successor the network gets wrong.
+        step: usize,
+    },
 }
 
 impl fmt::Display for SynthesizeLfsromError {
@@ -46,6 +44,9 @@ impl fmt::Display for SynthesizeLfsromError {
                 got,
             } => write!(f, "pattern {index} is {got} bits wide, expected {expected}"),
             SynthesizeLfsromError::ZeroWidth => write!(f, "patterns have zero width"),
+            SynthesizeLfsromError::BrokenNetwork { step } => {
+                write!(f, "next-state network broken at step {step}")
+            }
         }
     }
 }
@@ -68,16 +69,6 @@ pub struct LfsromGenerator {
 }
 
 impl LfsromGenerator {
-    /// Synthesizes a generator replaying `sequence` with default options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesizeLfsromError`] for empty sequences or
-    /// inconsistent pattern widths.
-    pub fn synthesize(sequence: &[Pattern]) -> Result<Self, SynthesizeLfsromError> {
-        Self::synthesize_with(sequence, LfsromOptions::default())
-    }
-
     /// Synthesizes a generator replaying `sequence`.
     ///
     /// The generator is periodic: after the last pattern it wraps to the
@@ -85,79 +76,14 @@ impl LfsromGenerator {
     ///
     /// # Errors
     ///
-    /// Returns [`SynthesizeLfsromError`] for empty sequences or
-    /// inconsistent pattern widths.
-    pub fn synthesize_with(
-        sequence: &[Pattern],
-        options: LfsromOptions,
-    ) -> Result<Self, SynthesizeLfsromError> {
-        if sequence.is_empty() {
-            return Err(SynthesizeLfsromError::EmptySequence);
-        }
+    /// Returns [`SynthesizeLfsromError`] for empty sequences, inconsistent
+    /// pattern widths, or a next-state network that fails its check (see
+    /// [`next_state_network`]).
+    pub fn synthesize(sequence: &[Pattern]) -> Result<Self, SynthesizeLfsromError> {
+        let (network, codes) = next_state_network(sequence)?;
         let width = sequence[0].len();
-        if width == 0 {
-            return Err(SynthesizeLfsromError::ZeroWidth);
-        }
-        for (index, p) in sequence.iter().enumerate() {
-            if p.len() != width {
-                return Err(SynthesizeLfsromError::WidthMismatch {
-                    index,
-                    expected: width,
-                    got: p.len(),
-                });
-            }
-        }
-
-        let codes = disambiguation_codes(sequence);
-        let max_code = codes.iter().copied().max().unwrap_or(0);
-        let code_bits = if max_code == 0 {
-            0
-        } else {
-            (64 - max_code.leading_zeros()) as usize
-        };
-        let total = width + code_bits;
-
-        // full states: pattern bits then code bits
-        let states: Vec<Pattern> = sequence
-            .iter()
-            .zip(&codes)
-            .map(|(p, &c)| {
-                Pattern::from_fn(total, |b| {
-                    if b < width {
-                        p.get(b)
-                    } else {
-                        (c >> (b - width)) & 1 == 1
-                    }
-                })
-            })
-            .collect();
-
-        // next-state specifications (wrap after the last pattern)
-        let mut specs = vec![OutputSpec::default(); total];
-        let n = states.len();
-        for i in 0..n {
-            let next = &states[(i + 1) % n];
-            for (b, spec) in specs.iter_mut().enumerate() {
-                if next.get(b) {
-                    spec.on.push(states[i].clone());
-                } else {
-                    spec.off.push(states[i].clone());
-                }
-            }
-        }
-        let network = synthesize_pla_with(total, &specs, options.synthesis);
-
-        // functional self-check: the synthesized network must walk the
-        // sequence
-        for i in 0..n {
-            debug_assert_eq!(
-                network.eval(&states[i]),
-                states[(i + 1) % n],
-                "next-state network broken at step {i}"
-            );
-        }
-
-        let netlist = build_netlist(total, width, &network);
+        let code_bits = network.width() - width;
+        let netlist = build_netlist(network.width(), width, &network);
         Ok(LfsromGenerator {
             width,
             sequence: sequence.to_vec(),
@@ -241,6 +167,73 @@ impl LfsromGenerator {
             .find(&format!("q{b}"))
             .expect("flip-flop exists by construction")
     }
+}
+
+/// Synthesizes the next-state network of an LFSROM replaying `sequence`
+/// and returns it with the disambiguation code of each sequence position
+/// (see [`LfsromGenerator::codes`]), without emitting the generator's
+/// netlist.
+///
+/// The network's inputs and outputs are the full state: the pattern bits,
+/// then the code bits. Its care table maps the state at each position to
+/// the state at the next one, wrapping from the last position to the
+/// first. Every step of that table is checked against the synthesized
+/// network in every build, so a minimizer defect surfaces as an error
+/// instead of as a generator that replays the wrong sequence.
+///
+/// # Errors
+///
+/// Returns [`SynthesizeLfsromError`] for empty sequences, zero-width or
+/// inconsistent pattern widths, and [`SynthesizeLfsromError::BrokenNetwork`]
+/// when the network misses a step.
+pub fn next_state_network(
+    sequence: &[Pattern],
+) -> Result<(TwoLevelNetwork, Vec<u64>), SynthesizeLfsromError> {
+    if sequence.is_empty() {
+        return Err(SynthesizeLfsromError::EmptySequence);
+    }
+    let width = sequence[0].len();
+    if width == 0 {
+        return Err(SynthesizeLfsromError::ZeroWidth);
+    }
+    for (index, p) in sequence.iter().enumerate() {
+        if p.len() != width {
+            return Err(SynthesizeLfsromError::WidthMismatch {
+                index,
+                expected: width,
+                got: p.len(),
+            });
+        }
+    }
+
+    let codes = disambiguation_codes(sequence);
+    let max_code = codes.iter().copied().max().unwrap_or(0);
+    let code_bits = (u64::BITS - max_code.leading_zeros()) as usize;
+    let total = width + code_bits;
+
+    // full states: pattern bits then code bits
+    let states: Vec<Pattern> = sequence
+        .iter()
+        .zip(&codes)
+        .map(|(p, &c)| {
+            Pattern::from_fn(total, |b| {
+                if b < width {
+                    p.get(b)
+                } else {
+                    (c >> (b - width)) & 1 == 1
+                }
+            })
+        })
+        .collect();
+    let mut next = states.clone();
+    next.rotate_left(1);
+    let network = synthesize_pla(total, &states, &next);
+
+    // the network must walk the sequence
+    if let Some(step) = (0..states.len()).find(|&i| network.eval(&states[i]) != next[i]) {
+        return Err(SynthesizeLfsromError::BrokenNetwork { step });
+    }
+    Ok((network, codes))
 }
 
 /// Assigns each sequence position a disambiguation code: positions holding

@@ -15,10 +15,14 @@
 //! minimal set of disambiguation flip-flops is appended (their next-state
 //! functions are synthesized in the same network).
 //!
-//! Every synthesized generator is **verified by replay**: the emitted
-//! structural netlist is clocked cycle-by-cycle with
-//! [`SeqSim`](bist_logicsim::SeqSim) and must reproduce the target
-//! sequence bit-exactly.
+//! The next-state network is **checked at synthesis time**, in every
+//! build: [`next_state_network`] evaluates it on every sequence state and
+//! returns [`SynthesizeLfsromError::BrokenNetwork`] on the first wrong
+//! successor. It also serves callers that embed the network in hardware
+//! of their own (the mixed generator in `bist-core`) without emitting
+//! this crate's netlist. The test suite additionally replays every
+//! emitted netlist cycle by cycle with
+//! [`SeqSim`](bist_logicsim::SeqSim) against the target sequence.
 //!
 //! # Example
 //!
@@ -41,4 +45,4 @@
 
 mod generator;
 
-pub use generator::{LfsromGenerator, LfsromOptions, SynthesizeLfsromError};
+pub use generator::{next_state_network, LfsromGenerator, SynthesizeLfsromError};

@@ -107,6 +107,12 @@ impl Pattern {
         }
     }
 
+    /// The bits packed 64 to a word, bit `i` at `words()[i / 64] >> (i %
+    /// 64)`. Bits past `len()` in the last word are always zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of bits set to 1.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()

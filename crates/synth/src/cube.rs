@@ -101,21 +101,24 @@ impl Cube {
             .sum()
     }
 
-    /// Iterates over `(variable, polarity)` literals.
+    /// Iterates over `(variable, polarity)` literals in ascending variable
+    /// order (the fan-in order [`TwoLevelNetwork::emit`] gives each AND
+    /// gate).
+    ///
+    /// [`TwoLevelNetwork::emit`]: crate::TwoLevelNetwork::emit
     pub fn literals(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
-        (0..self.width).filter_map(|v| self.literal(v).map(|p| (v, p)))
+        let vars = self.pos.iter().zip(&self.neg).map(|(&p, &n)| p | n);
+        set_bits(vars).map(|v| (v, (self.pos[v / 64] >> (v % 64)) & 1 == 1))
     }
 
     /// True if `minterm` satisfies every literal of the cube.
     pub fn contains(&self, minterm: &Pattern) -> bool {
         assert_eq!(minterm.len(), self.width, "minterm width mismatch");
-        for v in 0..self.width {
-            match self.literal(v) {
-                Some(p) if minterm.get(v) != p => return false,
-                _ => {}
-            }
-        }
-        true
+        self.pos
+            .iter()
+            .zip(&self.neg)
+            .zip(minterm.words())
+            .all(|((&pos, &neg), &m)| m & pos == pos && m & neg == 0)
     }
 
     /// True if every minterm of `other` is contained in `self`
@@ -130,6 +133,21 @@ impl Cube {
         }
         true
     }
+}
+
+/// Indices of the set bits of a bit set packed 64 to a word, ascending.
+pub(crate) fn set_bits(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(w * 64 + b)
+        })
+    })
 }
 
 impl fmt::Display for Cube {
@@ -210,5 +228,44 @@ mod tests {
         assert_eq!(c.num_literals(), 130);
         assert_eq!(c.literal(129), Some(p.get(129)));
         assert!(c.contains(&p));
+    }
+
+    #[test]
+    fn literals_ascend_across_word_boundaries() {
+        let mut c = Cube::universe(130);
+        for (v, pol) in [(129, true), (64, false), (0, true), (63, false), (65, true)] {
+            c.set_literal(v, pol);
+        }
+        let lits: Vec<(usize, bool)> = c.literals().collect();
+        assert_eq!(
+            lits,
+            [(0, true), (63, false), (64, false), (65, true), (129, true)]
+        );
+        let by_var: Vec<(usize, bool)> = (0..130)
+            .filter_map(|v| c.literal(v).map(|p| (v, p)))
+            .collect();
+        assert_eq!(lits, by_var);
+    }
+
+    #[test]
+    fn contains_agrees_with_every_literal_at_word_edges() {
+        for width in [64, 65, 130] {
+            let m = Pattern::from_fn(width, |i| i % 5 < 2);
+            let mut c = Cube::universe(width);
+            for v in [0, 1, 2, 63, width - 2, width - 1] {
+                c.set_literal(v, m.get(v));
+            }
+            assert!(c.contains(&m), "width {width}");
+            for v in [0, 63, width - 1] {
+                let mut flipped = m.clone();
+                flipped.set(v, !m.get(v));
+                assert!(!c.contains(&flipped), "width {width}, variable {v}");
+            }
+            // a variable the cube omits may take either value
+            let mut free = m.clone();
+            free.set(32, !m.get(32));
+            assert!(c.contains(&free), "width {width}");
+            assert!(Cube::universe(width).contains(&free), "width {width}");
+        }
     }
 }

@@ -6,13 +6,13 @@
 //! an ES2 1 µm standard-cell process (its §4.1, ±5 % accuracy). This crate
 //! rebuilds that tool chain for the structures at hand:
 //!
-//! * [`Cube`] / [`OutputSpec`] — cube calculus over wide (multi-word)
-//!   input spaces,
-//! * [`synthesize_pla`] — espresso-style two-level minimization (EXPAND
-//!   against the off-set with single-pass greedy literal removal, greedy
-//!   irredundant cover, cross-output term sharing). The LFSROM's enormous
-//!   don't-care set — only the `d` sequence states are care terms out of
-//!   `2^w` — is what this stage exploits,
+//! * [`Cube`] — cube calculus over wide (multi-word) input spaces,
+//! * [`synthesize_pla`] — espresso-style two-level minimization of a care
+//!   table (EXPAND against the off-rows with single-pass greedy literal
+//!   removal, greedy irredundant cover, cross-output term sharing), run
+//!   as word operations on row masks of the transposed table. The
+//!   LFSROM's enormous don't-care set — only the `d` sequence states are
+//!   care rows out of `2^w` — is what this stage exploits,
 //! * [`TwoLevelNetwork`] — the result: shared AND terms, OR planes per
 //!   output, evaluation, netlist emission,
 //! * [`AreaModel`] / [`CellCount`] — gate-level technology mapping onto a
@@ -24,14 +24,12 @@
 //!
 //! ```
 //! use bist_logicsim::Pattern;
-//! use bist_synth::{synthesize_pla, OutputSpec};
+//! use bist_synth::synthesize_pla;
 //!
 //! // y = 1 for 11x, 0 for 00x; everything else don't-care
-//! let spec = OutputSpec {
-//!     on: vec!["110".parse()?, "111".parse()?],
-//!     off: vec!["000".parse()?, "001".parse()?],
-//! };
-//! let net = synthesize_pla(3, &[spec]);
+//! let inputs: Vec<Pattern> = vec!["110".parse()?, "111".parse()?, "000".parse()?, "001".parse()?];
+//! let outputs: Vec<Pattern> = vec!["1".parse()?, "1".parse()?, "0".parse()?, "0".parse()?];
+//! let net = synthesize_pla(3, &inputs, &outputs);
 //! assert_eq!(net.num_terms(), 1); // collapses to a single literal "a"
 //! # Ok::<(), bist_logicsim::ParsePatternError>(())
 //! ```
@@ -46,7 +44,5 @@ mod network;
 
 pub use area::{count_cells, AreaModel, CellCount, CellKind};
 pub use cube::Cube;
-pub use minimize::{
-    minimize_single_output, synthesize_pla, synthesize_pla_with, OutputSpec, SynthesisOptions,
-};
+pub use minimize::synthesize_pla;
 pub use network::TwoLevelNetwork;

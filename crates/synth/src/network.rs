@@ -204,7 +204,7 @@ impl fmt::Display for TwoLevelNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minimize::{synthesize_pla, OutputSpec};
+    use crate::minimize::synthesize_pla;
     use bist_logicsim::naive_eval;
 
     fn p(s: &str) -> Pattern {
@@ -212,19 +212,9 @@ mod tests {
     }
 
     fn sample_network() -> TwoLevelNetwork {
-        synthesize_pla(
-            3,
-            &[
-                OutputSpec {
-                    on: vec![p("110"), p("111")],
-                    off: vec![p("000"), p("010")],
-                },
-                OutputSpec {
-                    on: vec![p("001")],
-                    off: vec![p("110")],
-                },
-            ],
-        )
+        let inputs = [p("110"), p("111"), p("000"), p("010"), p("001")];
+        let outputs = [p("10"), p("10"), p("00"), p("00"), p("01")];
+        synthesize_pla(3, &inputs, &outputs)
     }
 
     #[test]

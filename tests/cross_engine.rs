@@ -115,6 +115,26 @@ fn lfsrom_software_eval_equals_hardware_replay() {
     assert_eq!(generator.replay(seq.len()), seq);
 }
 
+/// One LFSROM-shaped network pinned by the SHA-256 of its PLA dump: a
+/// seeded sequence of 300 patterns, 233 bits wide like c2670's, with
+/// three repeats that add two disambiguation flip-flops.
+#[test]
+fn lfsrom_network_is_pinned() {
+    let mut rng = StdRng::seed_from_u64(2670);
+    let mut seq: Vec<Pattern> = (0..300).map(|_| Pattern::random(&mut rng, 233)).collect();
+    seq[100] = seq[7].clone();
+    seq[200] = seq[7].clone();
+    seq[250] = seq[42].clone();
+    let generator = LfsromGenerator::synthesize(&seq).unwrap();
+    assert_eq!(generator.extra_flip_flops(), 2);
+    let network = generator.network();
+    assert_eq!((network.num_terms(), network.num_literals()), (4754, 26432));
+    assert_eq!(
+        bist_engine::digest::sha256_hex(network.to_string().as_bytes()),
+        "c593c78764c85506ff6f4c408f47b556e701672cddc8baef6ef538f7f1f0b540"
+    );
+}
+
 #[test]
 fn incremental_imply_equals_full_imply() {
     use bist_logicsim::{FiveValueSim, InjectedFault};

@@ -192,23 +192,19 @@ proptest! {
         // determinism-vetted: uniqueness bookkeeping, never iterated
         #[allow(clippy::disallowed_types)]
         let mut seen = std::collections::HashSet::new();
-        let mut mk = |n: usize| -> Vec<Pattern> {
-            let mut v = Vec::new();
-            while v.len() < n {
-                let p = Pattern::random(&mut rng, width);
-                if seen.insert(p.clone()) {
-                    v.push(p);
-                }
+        let mut inputs = Vec::new();
+        while inputs.len() < on_count + off_count {
+            let p = Pattern::random(&mut rng, width);
+            if seen.insert(p.clone()) {
+                inputs.push(p);
             }
-            v
-        };
-        let spec = bist_synth::OutputSpec { on: mk(on_count), off: mk(off_count) };
-        let net = bist_synth::synthesize_pla(width, std::slice::from_ref(&spec));
-        for m in &spec.on {
-            prop_assert!(net.eval(m).get(0));
         }
-        for m in &spec.off {
-            prop_assert!(!net.eval(m).get(0));
+        let outputs: Vec<Pattern> = (0..inputs.len())
+            .map(|i| Pattern::from_fn(1, |_| i < on_count))
+            .collect();
+        let net = bist_synth::synthesize_pla(width, &inputs, &outputs);
+        for (m, o) in inputs.iter().zip(&outputs) {
+            prop_assert_eq!(net.eval(m).get(0), o.get(0));
         }
     }
 }
