@@ -1,5 +1,5 @@
 use bist_fault::{Fault, FaultList, FaultStatus};
-use bist_faultsim::{CoverageReport, FaultSim};
+use bist_faultsim::{CoverageReport, FaultSim, WordFault};
 use bist_logicsim::{InjectedFault, Pattern};
 use bist_netlist::{Circuit, NodeId};
 use bist_par::Pool;
@@ -267,7 +267,15 @@ impl<'c> TestGenerator<'c> {
 
         let baseline_detected = session.report().detected;
         if !options.no_compaction {
-            units = compact(circuit, &faults, units, baseline_detected, options.threads);
+            units = compact(
+                circuit,
+                faults.faults(),
+                &[],
+                units,
+                |unit| &unit.patterns,
+                baseline_detected,
+                options.threads,
+            );
         }
 
         // authoritative final grading of the emitted sequence
@@ -450,27 +458,39 @@ fn open_fault_targets(
     }
 }
 
-/// Reverse-order compaction: simulate units last-to-first with fault
-/// dropping; units detecting nothing new in that order are discarded. The
-/// compacted sequence is verified forward — if (through stuck-open
-/// adjacency effects) it detects fewer faults than the original, the
-/// original is kept.
-fn compact(
+/// Reverse-order compaction with forward verification, for any fault
+/// model and any kind of test unit — the one compactor behind both
+/// [`TestGenerator`] and the delay ATPG.
+///
+/// After replaying `prefix` (empty for the stuck-at flow; the delay flow
+/// replays its pseudo-random prefix so launches across the boundary stay
+/// honest), the units are simulated last-to-first with fault dropping,
+/// and units detecting nothing new in that order are discarded. Units
+/// are atomic: `patterns` yields each one's patterns, and a pair is never
+/// split. The compacted sequence is verified forward after the same
+/// prefix — if, through two-pattern adjacency effects, it detects fewer
+/// than `baseline_detected` faults of `faults`, the original is kept.
+/// `threads` is the grading pool width; the result does not depend on it.
+pub fn compact<F: WordFault, U: Clone>(
     circuit: &Circuit,
-    faults: &FaultList,
-    units: Vec<TestUnit>,
+    faults: &[F],
+    prefix: &[Pattern],
+    units: Vec<U>,
+    patterns: impl Fn(&U) -> &[Pattern],
     baseline_detected: usize,
     threads: usize,
-) -> Vec<TestUnit> {
-    let mut reverse_session = FaultSim::new(circuit, faults.clone()).with_threads(threads);
+) -> Vec<U> {
+    let replayed = || {
+        let mut sim = FaultSim::new(circuit, faults.iter().copied()).with_threads(threads);
+        sim.simulate(prefix);
+        sim
+    };
+    let mut reverse = replayed();
     let mut keep = vec![false; units.len()];
     for (k, unit) in units.iter().enumerate().rev() {
-        let newly = reverse_session.simulate(&unit.patterns);
-        if newly > 0 {
-            keep[k] = true;
-        }
+        keep[k] = reverse.simulate(patterns(unit)) > 0;
     }
-    let compacted: Vec<TestUnit> = units
+    let compacted: Vec<U> = units
         .iter()
         .zip(&keep)
         .filter(|(_, &k)| k)
@@ -479,9 +499,9 @@ fn compact(
     if compacted.len() == units.len() {
         return units;
     }
-    let mut verify = FaultSim::new(circuit, faults.clone()).with_threads(threads);
+    let mut verify = replayed();
     for unit in &compacted {
-        verify.simulate(&unit.patterns);
+        verify.simulate(patterns(unit));
     }
     if verify.report().detected >= baseline_detected {
         compacted

@@ -48,7 +48,7 @@ mod podem;
 
 pub use cache::CubeCache;
 pub use cube::{ParseTestCubeError, TestCube};
-pub use engine::{AtpgOptions, AtpgRun, TestGenerator, TestUnit};
+pub use engine::{compact, AtpgOptions, AtpgRun, TestGenerator, TestUnit};
 pub use podem::{
     justify, justify_cube, podem, podem_cube, podem_cube_counted, podem_probe, CubeOutcome,
     PodemOptions, PodemOutcome, PodemProbe, SearchCounters,

@@ -12,8 +12,9 @@
 //! `JobSpec::CoverageCurve` and `JobSpec::SolveAt` with
 //! `fault_model: bridging` — the exact path `bist curve/solve <c>
 //! --fault-model bridging:N` runs. Only the Iddq column (a criterion
-//! the engine's voltage-sense outcomes don't carry) is re-graded here,
-//! with [`bist_faultmodel::ModelSim`] over the same sequences.
+//! the engine's voltage-sense outcomes don't carry) is re-graded here:
+//! [`FaultSim`] over the same bridge universe and sequences, reading its
+//! per-fault excitation flags.
 //!
 //! ```text
 //! cargo run --release -p bist-bench --bin ext_bridging_coverage
@@ -21,17 +22,16 @@
 //! ```
 
 use bist_bench::{banner, ExperimentArgs};
+use bist_bridging::BridgingFaultList;
 use bist_core::prelude::*;
 use bist_engine::{CircuitSource, CoverageCurveSpec, Engine, FaultModel, JobSpec, SolveAtSpec};
-use bist_faultmodel::ModelSim;
 
 /// Grades `patterns` under the Iddq criterion: a short counts as soon
 /// as it is excited, whether or not the discrepancy reaches an output.
-fn iddq_pct(circuit: &Circuit, model: FaultModel, patterns: &[Pattern]) -> f64 {
-    let mut sim = ModelSim::new(circuit, model);
+fn iddq_pct(circuit: &Circuit, universe: &BridgingFaultList, patterns: &[Pattern]) -> f64 {
+    let mut sim = FaultSim::new(circuit, universe.iter().copied());
     sim.simulate(patterns);
-    sim.iddq_coverage_pct()
-        .expect("the bridging model defines an Iddq criterion")
+    sim.excited_pct()
 }
 
 fn main() {
@@ -42,9 +42,10 @@ fn main() {
     let args = ExperimentArgs::parse(&["c432", "c880"]);
     args.warn_fixed_format("ext_bridging_coverage");
     let samples: u32 = if args.quick { 150 } else { 400 };
+    let seed = 0x1dd9;
     let model = FaultModel::Bridging {
         pairs: samples,
-        seed: 0x1dd9,
+        seed,
     };
     let p = if args.quick { 128 } else { 512 };
     let engine = Engine::with_threads(args.threads);
@@ -54,10 +55,11 @@ fn main() {
     };
     for circuit in args.load_circuits() {
         let source = CircuitSource::Inline(circuit.clone());
+        let universe = BridgingFaultList::sample(&circuit, samples as usize, seed);
         println!(
             "\n{} — {} sampled non-feedback bridges",
             circuit.name(),
-            model.universe_len(&circuit)
+            universe.len()
         );
         println!(
             "{:<26} {:>9} {:>12} {:>10}",
@@ -76,7 +78,7 @@ fn main() {
         let (_, rand_v) = curve.curve.points()[0];
         let width = circuit.inputs().len();
         let random_only = pseudo_random_patterns(config.poly, width, p);
-        let rand_q = iddq_pct(&circuit, model, &random_only);
+        let rand_q = iddq_pct(&circuit, &universe, &random_only);
         println!(
             "{:<26} {:>9} {:>11.2}% {:>9.2}%",
             format!("pseudo-random (p={p})"),
@@ -99,7 +101,7 @@ fn main() {
         let mixed: Vec<Pattern> = prefix.into_iter().chain(suffix).collect();
         let (mix_v, mix_q) = (
             solution.coverage.coverage_pct(),
-            iddq_pct(&circuit, model, &mixed),
+            iddq_pct(&circuit, &universe, &mixed),
         );
         println!(
             "{:<26} {:>9} {:>11.2}% {:>9.2}%",

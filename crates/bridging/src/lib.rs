@@ -9,11 +9,13 @@
 //! * [`BridgingFault`] / [`BridgingFaultList`] — non-feedback wired-AND /
 //!   wired-OR shorts, sampled between physically plausible (level-nearby)
 //!   node pairs.
-//! * [`BridgingSim`] — a packed simulator grading both detection
-//!   criteria at once: *voltage-sense* (the resolved value propagates to
-//!   an output) and *Iddq* (the short is merely excited — opposite driven
-//!   values — which a quiescent-current measurement catches without any
-//!   propagation).
+//! * `impl WordFault for BridgingFault` — so [`bist_faultsim::FaultSim`]
+//!   grades a bridge universe under both detection criteria at once:
+//!   *voltage-sense* (the resolved value propagates to an output, the
+//!   simulator's statuses and report) and *Iddq* (the short is merely
+//!   excited — opposite driven values — which a quiescent-current
+//!   measurement catches without any propagation; the simulator's
+//!   `excited` flags).
 //!
 //! The \[Hwa93\] experiment then runs directly: grade a stuck-at-derived
 //! BIST sequence against a bridge universe and compare the two coverage
@@ -22,14 +24,20 @@
 //! # Example
 //!
 //! ```
-//! use bist_bridging::{BridgingFaultList, BridgingSim};
+//! use bist_bridging::BridgingFaultList;
+//! use bist_faultsim::FaultSim;
+//! use bist_logicsim::Pattern;
 //!
 //! let c17 = bist_netlist::iscas85::c17();
-//! let faults = BridgingFaultList::sample(&c17, 40, 7);
-//! let mut sim = BridgingSim::new(&c17, faults);
-//! sim.simulate(&bist_lfsr::pseudo_random_patterns(bist_lfsr::paper_poly(), 5, 64));
+//! let faults = BridgingFaultList::sample(&c17, 30, 17);
+//! let mut sim = FaultSim::new(&c17, faults);
+//! let patterns: Vec<Pattern> = (0u32..32)
+//!     .map(|v| Pattern::from_fn(5, |i| (v >> i) & 1 == 1))
+//!     .collect();
+//! sim.simulate(&patterns);
+//! assert!(sim.report().coverage_pct() > 50.0); // exhaustive input space
 //! // Iddq needs only excitation, so it always dominates voltage-sense
-//! assert!(sim.iddq_coverage_pct() >= sim.report().coverage_pct());
+//! assert!(sim.excited_pct() >= sim.report().coverage_pct());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,4 +48,3 @@ pub mod serial;
 mod sim;
 
 pub use model::{is_feedback_pair, BridgeKind, BridgingFault, BridgingFaultList};
-pub use sim::BridgingSim;

@@ -198,6 +198,15 @@ impl<'a> IntoIterator for &'a BridgingFaultList {
     }
 }
 
+impl IntoIterator for BridgingFaultList {
+    type Item = BridgingFault;
+    type IntoIter = std::vec::IntoIter<BridgingFault>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.faults.into_iter()
+    }
+}
+
 /// True if either node lies in the other's fan-out cone (shorting them
 /// would create a combinational loop).
 pub fn is_feedback_pair(circuit: &Circuit, a: NodeId, b: NodeId) -> bool {

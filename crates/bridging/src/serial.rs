@@ -1,7 +1,7 @@
 //! Naive pattern-at-a-time reference bridging simulator.
 //!
 //! An independent, deliberately simple implementation of the same
-//! bridging semantics as the packed [`crate::BridgingSim`], used as the
+//! bridging semantics as the packed `FaultSim<'_, BridgingFault>`, used as the
 //! oracle in property tests: the faulty machine is evaluated node by node
 //! with plain booleans, one pattern at a time, with both shorted nodes
 //! overridden to the resolved value.
@@ -93,7 +93,8 @@ pub fn grade_sequence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BridgingFaultList, BridgingSim};
+    use crate::BridgingFaultList;
+    use bist_faultsim::FaultSim;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -106,7 +107,7 @@ mod tests {
             .map(|v| Pattern::from_fn(5, |i| (v >> i) & 1 == 1))
             .collect();
         let serial = grade_sequence(&c17, faults.faults(), &patterns);
-        let mut packed = BridgingSim::new(&c17, faults);
+        let mut packed = FaultSim::new(&c17, faults);
         packed.simulate(&patterns);
         for (i, &graded) in serial.iter().enumerate() {
             assert_eq!(
@@ -130,7 +131,7 @@ mod tests {
                 .collect();
             let serial = grade_sequence(&c, faults.faults(), &patterns);
 
-            let mut packed = BridgingSim::new(&c, faults);
+            let mut packed = FaultSim::new(&c, faults);
             packed.simulate(&patterns);
             for (i, &graded) in serial.iter().enumerate() {
                 prop_assert_eq!(
@@ -143,7 +144,7 @@ mod tests {
                 let any_excited = patterns.iter().any(|p| {
                     excited(&c, *packed.faults().get(i).unwrap(), p)
                 });
-                prop_assert_eq!(any_excited, packed.iddq_detected(i));
+                prop_assert_eq!(any_excited, packed.excited(i));
             }
         }
     }

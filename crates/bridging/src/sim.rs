@@ -1,152 +1,20 @@
-use bist_fault::FaultStatus;
-use bist_faultsim::{BlockCtx, CoverageReport, Seeds, SimCounters, WordFault, WordSim};
-use bist_logicsim::Pattern;
-use bist_netlist::Circuit;
+//! The bridging model on the word-parallel engine — the measurement side
+//! of the \[Hwa93\] question the paper leans on: *how much of a realistic
+//! short universe does a stuck-at-derived sequence detect?*
+//!
+//! A bridge is detected by a pattern that drives the two shorted nodes to
+//! opposite values (excitation — the same condition Iddq testing senses
+//! as elevated quiescent current) *and* propagates the resolved value's
+//! difference to a primary output (voltage-sense detection, the stricter
+//! criterion `FaultSim::report` grades). The model contributes the *two*
+//! resolved-value seeds (a short drives both nodes), so cone propagation
+//! starts from the union of both fan-outs, and opts into the engine's
+//! per-fault excitation tracking for the Iddq criterion
+//! (`FaultSim::excited`, `FaultSim::excited_pct`).
 
-use crate::model::{BridgingFault, BridgingFaultList};
+use bist_faultsim::{BlockCtx, Seeds, WordFault};
 
-/// Parallel-pattern bridging-fault simulator with fault dropping — the
-/// measurement side of the \[Hwa93\] question the paper leans on: *how much
-/// of a realistic short universe does a stuck-at-derived sequence
-/// detect?*
-///
-/// A bridge is detected by a pattern that drives the two shorted nodes to
-/// opposite values (excitation — the same condition Iddq testing senses
-/// as elevated quiescent current) *and* propagates the resolved value's
-/// difference to a primary output (voltage-sense detection, the stricter
-/// criterion graded by [`BridgingSim::report`]).
-///
-/// This is the bridging instantiation of the model-generic [`WordSim`]
-/// engine shared with [`bist_faultsim::FaultSim`]: the model contributes
-/// the *two* resolved-value seeds (a short drives both nodes), so cone
-/// propagation starts from the union of both fan-outs, and opts into the
-/// engine's per-fault excitation tracking for the Iddq criterion. The
-/// good machine, levelized cone walk, fault dropping and `bist-par`
-/// sharding (bit-identical at every thread count) come from the engine.
-///
-/// # Example
-///
-/// ```
-/// use bist_bridging::{BridgingFaultList, BridgingSim};
-/// use bist_logicsim::Pattern;
-///
-/// let c17 = bist_netlist::iscas85::c17();
-/// let faults = BridgingFaultList::sample(&c17, 30, 17);
-/// let mut sim = BridgingSim::new(&c17, faults);
-/// let patterns: Vec<Pattern> = (0u32..32)
-///     .map(|v| Pattern::from_fn(5, |i| (v >> i) & 1 == 1))
-///     .collect();
-/// sim.simulate(&patterns);
-/// assert!(sim.report().coverage_pct() > 50.0); // exhaustive input space
-/// ```
-#[derive(Debug)]
-pub struct BridgingSim<'c> {
-    /// The universe, kept in list form for [`BridgingSim::faults`] (the
-    /// engine holds its own flat copy).
-    list: BridgingFaultList,
-    inner: WordSim<'c, BridgingFault>,
-}
-
-impl<'c> BridgingSim<'c> {
-    /// Creates a simulator grading `faults` on `circuit`, with the pool
-    /// width taken from `BIST_THREADS` / the machine.
-    pub fn new(circuit: &'c Circuit, faults: BridgingFaultList) -> Self {
-        let flat: Vec<BridgingFault> = faults.iter().copied().collect();
-        BridgingSim {
-            list: faults,
-            inner: WordSim::new(circuit, flat),
-        }
-    }
-
-    /// Sets the pool width for subsequent [`BridgingSim::simulate`] calls
-    /// (`0` = automatic). Grading results never depend on this knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.inner.set_threads(threads);
-    }
-
-    /// Builder form of [`BridgingSim::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// The pool width grading currently uses.
-    pub fn threads(&self) -> usize {
-        self.inner.threads()
-    }
-
-    /// The circuit under test.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.inner.circuit()
-    }
-
-    /// The fault universe being graded.
-    pub fn faults(&self) -> &BridgingFaultList {
-        &self.list
-    }
-
-    /// Status of fault `index` (voltage-sense detection).
-    pub fn status_of(&self, index: usize) -> FaultStatus {
-        self.inner.status_of(index)
-    }
-
-    /// All statuses, parallel to [`BridgingSim::faults`].
-    pub fn statuses(&self) -> &[FaultStatus] {
-        self.inner.statuses()
-    }
-
-    /// Overrides the status of fault `index`.
-    pub fn set_status(&mut self, index: usize, status: FaultStatus) {
-        self.inner.set_status(index, status);
-    }
-
-    /// True if some pattern so far *excited* fault `index` (opposite
-    /// driven values) — the Iddq criterion, which needs no propagation.
-    pub fn iddq_detected(&self, index: usize) -> bool {
-        self.inner.excited(index)
-    }
-
-    /// Fraction of the universe the sequence excites (Iddq coverage), %.
-    pub fn iddq_coverage_pct(&self) -> f64 {
-        if self.list.is_empty() {
-            return 0.0;
-        }
-        100.0 * self.inner.excited_count() as f64 / self.list.len() as f64
-    }
-
-    /// Global index of the first pattern that detected fault `index` at
-    /// an output.
-    pub fn first_detection(&self, index: usize) -> Option<u32> {
-        self.inner.first_detection(index)
-    }
-
-    /// Number of patterns consumed so far.
-    pub fn patterns_seen(&self) -> u32 {
-        self.inner.patterns_seen()
-    }
-
-    /// The work performed so far. Deterministic at every thread width.
-    pub fn counters(&self) -> SimCounters {
-        self.inner.counters()
-    }
-
-    /// Forgets all grading results (voltage and Iddq) and the sequence
-    /// position.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// Coverage summary (voltage-sense).
-    pub fn report(&self) -> CoverageReport {
-        self.inner.report()
-    }
-
-    /// Grades `patterns` (continuing any previously fed sequence).
-    /// Returns the number of newly (voltage-)detected faults.
-    pub fn simulate(&mut self, patterns: &[Pattern]) -> usize {
-        self.inner.simulate(patterns)
-    }
-}
+use crate::model::BridgingFault;
 
 impl WordFault for BridgingFault {
     /// Excitation every block keeps the Iddq mask current for the whole
@@ -178,8 +46,9 @@ impl WordFault for BridgingFault {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::model::BridgeKind;
+    use crate::model::{BridgeKind, BridgingFault, BridgingFaultList};
+    use bist_faultsim::FaultSim;
+    use bist_logicsim::Pattern;
     use bist_netlist::{CircuitBuilder, GateKind};
 
     fn exhaustive(width: usize) -> Vec<Pattern> {
@@ -210,13 +79,13 @@ mod tests {
                 kind: BridgeKind::WiredAnd,
             },
         );
-        let mut sim = BridgingSim::new(&c, faults);
+        let mut sim = FaultSim::new(&c, faults);
         // equal values: no excitation, no detection
         assert_eq!(sim.simulate(&[Pattern::from_bits(&[true, true])]), 0);
-        assert!(!sim.iddq_detected(0));
+        assert!(!sim.excited(0));
         // opposite values: excitation and voltage detection
         assert_eq!(sim.simulate(&[Pattern::from_bits(&[true, false])]), 1);
-        assert!(sim.iddq_detected(0));
+        assert!(sim.excited(0));
         assert_eq!(sim.first_detection(0), Some(1));
     }
 
@@ -241,10 +110,10 @@ mod tests {
                 kind: BridgeKind::WiredOr,
             },
         );
-        let mut sim = BridgingSim::new(&c, faults);
+        let mut sim = FaultSim::new(&c, faults);
         // a=1, b=0: excited (opposite) but y=a already 1 = resolved -> no flip
         assert_eq!(sim.simulate(&[Pattern::from_bits(&[true, false])]), 0);
-        assert!(sim.iddq_detected(0), "Iddq sees any opposite drive");
+        assert!(sim.excited(0), "Iddq sees any opposite drive");
         // a=0, b=1: resolved 1 flips y
         assert_eq!(sim.simulate(&[Pattern::from_bits(&[false, true])]), 1);
     }
@@ -254,7 +123,7 @@ mod tests {
         let c17 = bist_netlist::iscas85::c17();
         let faults = BridgingFaultList::sample(&c17, 60, 3);
         let total = faults.len();
-        let mut sim = BridgingSim::new(&c17, faults);
+        let mut sim = FaultSim::new(&c17, faults);
         sim.simulate(&exhaustive(5));
         let report = sim.report();
         assert!(
@@ -264,7 +133,7 @@ mod tests {
             total
         );
         // Iddq (excitation-only) coverage dominates voltage coverage
-        assert!(sim.iddq_coverage_pct() >= report.coverage_pct());
+        assert!(sim.excited_pct() >= report.coverage_pct());
     }
 
     #[test]
@@ -277,14 +146,14 @@ mod tests {
             .map(|_| Pattern::random(&mut rng, c.inputs().len()))
             .collect();
 
-        let mut mono = BridgingSim::new(&c, faults.clone());
+        let mut mono = FaultSim::new(&c, faults.clone());
         mono.simulate(&patterns);
-        let mut chunked = BridgingSim::new(&c, faults);
+        let mut chunked = FaultSim::new(&c, faults);
         for chunk in patterns.chunks(23) {
             chunked.simulate(chunk);
         }
         assert_eq!(mono.statuses(), chunked.statuses());
-        assert_eq!(mono.iddq_coverage_pct(), chunked.iddq_coverage_pct());
+        assert_eq!(mono.excited_pct(), chunked.excited_pct());
     }
 
     #[test]
@@ -297,11 +166,11 @@ mod tests {
             .map(|_| Pattern::random(&mut rng, c.inputs().len()))
             .collect();
 
-        let mut serial = BridgingSim::new(&c, faults.clone()).with_threads(1);
+        let mut serial = FaultSim::new(&c, faults.clone()).with_threads(1);
         serial.simulate(&patterns);
 
         for threads in [2, 4] {
-            let mut par = BridgingSim::new(&c, faults.clone()).with_threads(threads);
+            let mut par = FaultSim::new(&c, faults.clone()).with_threads(threads);
             par.simulate(&patterns);
             assert_eq!(serial.statuses(), par.statuses(), "threads={threads}");
             for i in 0..serial.faults().len() {
@@ -311,8 +180,8 @@ mod tests {
                     "threads={threads}, fault {i}"
                 );
                 assert_eq!(
-                    serial.iddq_detected(i),
-                    par.iddq_detected(i),
+                    serial.excited(i),
+                    par.excited(i),
                     "threads={threads}, fault {i} iddq"
                 );
             }

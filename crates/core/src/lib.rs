@@ -54,7 +54,7 @@ pub use session::{
 pub mod prelude {
     pub use bist_atpg::{AtpgOptions, TestGenerator};
     pub use bist_fault::{Fault, FaultList, FaultStatus};
-    pub use bist_faultsim::{CoverageCurve, CoverageReport, FaultSim, SimCounters, Testability};
+    pub use bist_faultsim::{CoverageCurve, CoverageReport, FaultSim, SimCounters};
     pub use bist_lfsr::{
         lfsr_netlist, paper_poly, primitive_poly, pseudo_random_patterns, Lfsr, Misr, Polynomial,
         ScanExpander,

@@ -62,6 +62,23 @@ impl Default for MixedSchemeConfig {
     }
 }
 
+impl MixedSchemeConfig {
+    /// The ATPG options the flow runs with: [`MixedSchemeConfig::atpg`],
+    /// with an automatic (`0`) ATPG width resolved to
+    /// [`MixedSchemeConfig::threads`], so one job grades and searches at
+    /// one pool width.
+    pub fn atpg_options(&self) -> AtpgOptions {
+        AtpgOptions {
+            threads: if self.atpg.threads == 0 {
+                self.threads
+            } else {
+                self.atpg.threads
+            },
+            ..self.atpg
+        }
+    }
+}
+
 /// Error returned by the mixed-scheme flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MixedSchemeError {
@@ -206,8 +223,6 @@ pub struct SessionStats {
 pub struct BistSession<'c> {
     circuit: &'c Circuit,
     config: MixedSchemeConfig,
-    /// `config.atpg` with the session-wide pool width folded in.
-    atpg_options: AtpgOptions,
     /// The committed universe: every report boundary, ATPG frontier and
     /// cache key speaks this list.
     faults: FaultList,
@@ -312,18 +327,9 @@ impl<'c> BistSession<'c> {
         let committed_len = faults.len();
         let sim = FaultSim::new(circuit, graded.clone()).with_threads(config.threads);
         let expander = ScanExpander::new(Lfsr::fibonacci(config.poly, 1), circuit.inputs().len());
-        let atpg_options = AtpgOptions {
-            threads: if config.atpg.threads == 0 {
-                config.threads
-            } else {
-                config.atpg.threads
-            },
-            ..config.atpg
-        };
         BistSession {
             circuit,
             config,
-            atpg_options,
             faults,
             graded,
             committed_len,
@@ -499,7 +505,7 @@ impl<'c> BistSession<'c> {
             .collect();
         let hits_before = self.cube_cache.hits();
         let run = Rc::new(
-            TestGenerator::new(self.circuit, remaining, self.atpg_options)
+            TestGenerator::new(self.circuit, remaining, self.config.atpg_options())
                 .run_with_cache(&mut self.cube_cache),
         );
         self.stats.atpg_runs += 1;

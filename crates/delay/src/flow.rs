@@ -1,25 +1,12 @@
-use bist_atpg::{justify_cube, podem_cube, CubeOutcome, PodemOptions, TestCube};
+use bist_atpg::{
+    compact, justify_cube, podem_cube, AtpgOptions, CubeOutcome, PodemOptions, TestCube,
+};
 use bist_fault::FaultStatus;
-use bist_faultsim::CoverageReport;
+use bist_faultsim::{CoverageReport, FaultSim};
 use bist_logicsim::{InjectedFault, Pattern};
 use bist_netlist::Circuit;
 
 use crate::model::{TransitionFault, TransitionFaultList};
-use crate::sim::TransitionSim;
-
-/// Options for the transition-fault ATPG flow.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DelayAtpgOptions {
-    /// Search limits handed to every PODEM call.
-    pub podem: PodemOptions,
-    /// Skip reverse-order compaction (compaction is on by default).
-    pub no_compaction: bool,
-    /// A pattern sequence assumed to have been applied *before* the
-    /// deterministic patterns — the pseudo-random prefix of a mixed test
-    /// scheme. Faults it detects are dropped before any search runs, and
-    /// the emitted sequence is graded as its continuation.
-    pub prefix: Vec<Pattern>,
-}
 
 /// One deterministic two-pattern delay test: the ordered
 /// *(initialization, launch/capture)* pair for one transition fault.
@@ -77,34 +64,47 @@ impl DelayRun {
 /// slow-to-fall, and with the branch driver standing in for the site on
 /// fan-out branch faults.
 ///
+/// The flow takes the same [`AtpgOptions`] as the stuck-at generator:
+/// PODEM limits, the compaction switch and the grading pool width
+/// (`threads`, `0` = automatic). The emitted units do not depend on the
+/// width.
+///
 /// # Example
 ///
 /// ```
-/// use bist_delay::{DelayAtpgOptions, DelayTestGenerator, TransitionFaultList};
+/// use bist_atpg::AtpgOptions;
+/// use bist_delay::{DelayTestGenerator, TransitionFaultList};
 ///
 /// let c17 = bist_netlist::iscas85::c17();
 /// let faults = TransitionFaultList::universe(&c17);
-/// let run = DelayTestGenerator::new(&c17, faults, DelayAtpgOptions::default()).run();
+/// let run = DelayTestGenerator::new(&c17, faults, AtpgOptions::default(), &[]).run();
 /// assert_eq!(run.report.undetected, 0); // c17 delay faults are all testable
 /// ```
 #[derive(Debug)]
 pub struct DelayTestGenerator<'c> {
     circuit: &'c Circuit,
     faults: TransitionFaultList,
-    options: DelayAtpgOptions,
+    options: AtpgOptions,
+    prefix: &'c [Pattern],
 }
 
 impl<'c> DelayTestGenerator<'c> {
-    /// Creates a generator targeting `faults` on `circuit`.
+    /// Creates a generator targeting `faults` on `circuit`. `prefix` is a
+    /// pattern sequence assumed to have been applied *before* the
+    /// deterministic patterns — the pseudo-random prefix of a mixed test
+    /// scheme. Faults it detects are dropped before any search runs, and
+    /// the emitted sequence is graded as its continuation.
     pub fn new(
         circuit: &'c Circuit,
         faults: TransitionFaultList,
-        options: DelayAtpgOptions,
+        options: AtpgOptions,
+        prefix: &'c [Pattern],
     ) -> Self {
         DelayTestGenerator {
             circuit,
             faults,
             options,
+            prefix,
         }
     }
 
@@ -115,9 +115,12 @@ impl<'c> DelayTestGenerator<'c> {
             circuit,
             faults,
             options,
+            prefix,
         } = self;
-        let mut session = TransitionSim::new(circuit, faults.clone());
-        session.simulate(&options.prefix);
+        let grader =
+            || FaultSim::new(circuit, faults.iter().copied()).with_threads(options.threads);
+        let mut session = grader();
+        session.simulate(prefix);
         let prefix_detected = session.report().detected;
 
         let mut units: Vec<DelayTestUnit> = Vec::new();
@@ -161,12 +164,20 @@ impl<'c> DelayTestGenerator<'c> {
 
         let baseline_detected = session.report().detected;
         if !options.no_compaction {
-            units = compact(circuit, &faults, &options.prefix, units, baseline_detected);
+            units = compact(
+                circuit,
+                faults.faults(),
+                prefix,
+                units,
+                |unit| &unit.patterns,
+                baseline_detected,
+                options.threads,
+            );
         }
 
         // authoritative final grading: prefix, then the compacted sequence
-        let mut final_session = TransitionSim::new(circuit, faults.clone());
-        final_session.simulate(&options.prefix);
+        let mut final_session = grader();
+        final_session.simulate(prefix);
         for unit in &units {
             final_session.simulate(&unit.patterns);
         }
@@ -231,46 +242,6 @@ fn generate_unit(
     })
 }
 
-/// Reverse-order compaction over whole pairs, with forward verification —
-/// the delay analogue of the stuck-at flow's compactor. The prefix is
-/// replayed before both gradings so cross-boundary launches stay honest.
-fn compact(
-    circuit: &Circuit,
-    faults: &TransitionFaultList,
-    prefix: &[Pattern],
-    units: Vec<DelayTestUnit>,
-    baseline_detected: usize,
-) -> Vec<DelayTestUnit> {
-    let mut reverse_session = TransitionSim::new(circuit, faults.clone());
-    reverse_session.simulate(prefix);
-    let mut keep = vec![false; units.len()];
-    for (k, unit) in units.iter().enumerate().rev() {
-        let newly = reverse_session.simulate(&unit.patterns);
-        if newly > 0 {
-            keep[k] = true;
-        }
-    }
-    let compacted: Vec<DelayTestUnit> = units
-        .iter()
-        .zip(&keep)
-        .filter(|(_, &k)| k)
-        .map(|(u, _)| u.clone())
-        .collect();
-    if compacted.len() == units.len() {
-        return units;
-    }
-    let mut verify = TransitionSim::new(circuit, faults.clone());
-    verify.simulate(prefix);
-    for unit in &compacted {
-        verify.simulate(&unit.patterns);
-    }
-    if verify.report().detected >= baseline_detected {
-        compacted
-    } else {
-        units
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,7 +251,7 @@ mod tests {
         let c17 = bist_netlist::iscas85::c17();
         let faults = TransitionFaultList::universe(&c17);
         let total = faults.len();
-        let run = DelayTestGenerator::new(&c17, faults, DelayAtpgOptions::default()).run();
+        let run = DelayTestGenerator::new(&c17, faults, AtpgOptions::default(), &[]).run();
         assert_eq!(run.report.total(), total);
         assert_eq!(run.report.undetected, 0);
         assert_eq!(run.report.aborted, 0);
@@ -305,16 +276,8 @@ mod tests {
             .map(|_| Pattern::random(&mut rng, c.inputs().len()))
             .collect();
 
-        let bare = DelayTestGenerator::new(&c, faults.clone(), DelayAtpgOptions::default()).run();
-        let topped = DelayTestGenerator::new(
-            &c,
-            faults,
-            DelayAtpgOptions {
-                prefix,
-                ..DelayAtpgOptions::default()
-            },
-        )
-        .run();
+        let bare = DelayTestGenerator::new(&c, faults.clone(), AtpgOptions::default(), &[]).run();
+        let topped = DelayTestGenerator::new(&c, faults, AtpgOptions::default(), &prefix).run();
         assert!(topped.prefix_detected > 0);
         assert!(
             topped.num_patterns() < bare.num_patterns(),
@@ -333,13 +296,14 @@ mod tests {
         let uncompacted = DelayTestGenerator::new(
             &c17,
             faults.clone(),
-            DelayAtpgOptions {
+            AtpgOptions {
                 no_compaction: true,
-                ..DelayAtpgOptions::default()
+                ..AtpgOptions::default()
             },
+            &[],
         )
         .run();
-        let compacted = DelayTestGenerator::new(&c17, faults, DelayAtpgOptions::default()).run();
+        let compacted = DelayTestGenerator::new(&c17, faults, AtpgOptions::default(), &[]).run();
         assert!(compacted.num_patterns() <= uncompacted.num_patterns());
         assert_eq!(compacted.report.detected, uncompacted.report.detected);
     }
@@ -361,7 +325,7 @@ mod tests {
         let faults: TransitionFaultList = [TransitionFault::stem(t, crate::Transition::SlowToRise)]
             .into_iter()
             .collect();
-        let run = DelayTestGenerator::new(&c, faults, DelayAtpgOptions::default()).run();
+        let run = DelayTestGenerator::new(&c, faults, AtpgOptions::default(), &[]).run();
         assert_eq!(run.report.redundant, 1);
         assert_eq!(run.report.undetected, 0);
     }
@@ -370,7 +334,7 @@ mod tests {
     fn sequence_concatenates_pairs_in_order() {
         let c17 = bist_netlist::iscas85::c17();
         let faults = TransitionFaultList::universe(&c17);
-        let run = DelayTestGenerator::new(&c17, faults, DelayAtpgOptions::default()).run();
+        let run = DelayTestGenerator::new(&c17, faults, AtpgOptions::default(), &[]).run();
         let seq = run.sequence();
         assert_eq!(seq.len(), run.num_patterns());
         for (k, unit) in run.units.iter().enumerate() {

@@ -247,6 +247,15 @@ impl<'a> IntoIterator for &'a TransitionFaultList {
     }
 }
 
+impl IntoIterator for TransitionFaultList {
+    type Item = TransitionFault;
+    type IntoIter = std::vec::IntoIter<TransitionFault>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.faults.into_iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

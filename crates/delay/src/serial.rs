@@ -3,7 +3,7 @@
 //! [`detects`] re-derives detection from first principles — full-circuit
 //! good evaluation of both vectors, explicit faulty re-evaluation of the
 //! capture vector — with none of the packing, dropping or cone pruning of
-//! [`TransitionSim`](crate::TransitionSim). Property tests pit the two
+//! the packed `FaultSim<'_, TransitionFault>`. Property tests pit the two
 //! against each other.
 
 use bist_logicsim::Pattern;
@@ -107,7 +107,7 @@ pub fn detects(circuit: &Circuit, fault: TransitionFault, v1: &Pattern, v2: &Pat
 mod tests {
     use super::*;
     use crate::model::{Transition, TransitionFaultList};
-    use crate::sim::TransitionSim;
+    use bist_faultsim::FaultSim;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
@@ -124,7 +124,7 @@ mod tests {
             let naive = detects(&c17, fault, &v1, &v2);
 
             let single: TransitionFaultList = [fault].into_iter().collect();
-            let mut sim = TransitionSim::new(&c17, single);
+            let mut sim = FaultSim::new(&c17, single);
             sim.simulate(&[v1.clone(), v2.clone()]);
             let packed = sim.report().detected == 1;
             assert_eq!(naive, packed, "{} on ({v1}, {v2})", fault.describe(&c17));

@@ -1,170 +1,17 @@
-use bist_fault::FaultStatus;
-use bist_faultsim::{BlockCtx, CoverageReport, Seeds, SimCounters, WordFault, WordSim};
-use bist_logicsim::Pattern;
-use bist_netlist::Circuit;
+//! The transition-delay model on the word-parallel engine.
+//!
+//! Patterns are applied as one continuous sequence — exactly what a BIST
+//! generator does — so pattern `t-1` doubles as the initialization vector
+//! of pattern `t` (launch-on-capture). A [`TransitionFault`] is detected
+//! at step `t` when the faulted line transitions between `t-1` and `t` in
+//! the good machine (launch) and the line's erroneously retained value is
+//! observed at a primary output under pattern `t` (capture). The model
+//! contributes only the launch mask and the retained-value seed word;
+//! `FaultSim<'_, TransitionFault>` does the rest.
 
-use crate::model::{TransitionFault, TransitionFaultList};
+use bist_faultsim::{BlockCtx, Seeds, WordFault};
 
-/// Parallel-pattern transition-fault simulator with fault dropping.
-///
-/// Patterns are applied as one continuous sequence — exactly what a BIST
-/// generator does — so pattern `t-1` doubles as the initialization vector
-/// of pattern `t` (launch-on-capture). A [`TransitionFault`] is detected
-/// at step `t` when the faulted line transitions between `t-1` and `t` in
-/// the good machine (launch) and the line's erroneously retained value is
-/// observed at a primary output under pattern `t` (capture).
-///
-/// This is the transition-delay instantiation of the model-generic
-/// [`WordSim`] engine shared with [`bist_faultsim::FaultSim`]: the model
-/// contributes only the launch mask and the retained-value seed word;
-/// the flattened-graph good machine, allocation-free levelized cone
-/// propagation, live-list fault dropping, `bist-par` sharding
-/// (bit-identical at every thread count) and carry checkpoints come from
-/// the shared engine.
-///
-/// # Example
-///
-/// ```
-/// use bist_delay::{TransitionFaultList, TransitionSim};
-/// use bist_logicsim::Pattern;
-///
-/// let c17 = bist_netlist::iscas85::c17();
-/// let faults = TransitionFaultList::universe(&c17);
-/// let mut sim = TransitionSim::new(&c17, faults);
-/// // one pattern alone launches no transition
-/// assert_eq!(sim.simulate(&[Pattern::zeros(5)]), 0);
-/// ```
-#[derive(Debug)]
-pub struct TransitionSim<'c> {
-    /// The universe, kept in list form for [`TransitionSim::faults`] /
-    /// [`TransitionSim::open_faults`] (the engine holds its own flat copy).
-    list: TransitionFaultList,
-    inner: WordSim<'c, TransitionFault>,
-}
-
-impl<'c> TransitionSim<'c> {
-    /// Creates a simulator grading `faults` on `circuit`, with the pool
-    /// width taken from `BIST_THREADS` / the machine.
-    pub fn new(circuit: &'c Circuit, faults: TransitionFaultList) -> Self {
-        let flat: Vec<TransitionFault> = faults.iter().copied().collect();
-        TransitionSim {
-            list: faults,
-            inner: WordSim::new(circuit, flat),
-        }
-    }
-
-    /// Re-creates a simulator mid-sequence from a carry checkpoint (see
-    /// [`TransitionSim::carry_bits`]); feeding the rest of the sequence
-    /// behaves exactly like one simulator that consumed it end to end,
-    /// except [`TransitionSim::first_detection`] only covers faults
-    /// detected after the resume point.
-    pub fn resume(
-        circuit: &'c Circuit,
-        faults: TransitionFaultList,
-        statuses: &[FaultStatus],
-        carry: &[bool],
-        patterns_seen: u32,
-    ) -> Self {
-        let flat: Vec<TransitionFault> = faults.iter().copied().collect();
-        TransitionSim {
-            list: faults,
-            inner: WordSim::resume(circuit, flat, statuses, carry, patterns_seen),
-        }
-    }
-
-    /// Sets the pool width for subsequent [`TransitionSim::simulate`]
-    /// calls (`0` = automatic). Grading results never depend on this knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.inner.set_threads(threads);
-    }
-
-    /// Builder form of [`TransitionSim::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// The pool width grading currently uses.
-    pub fn threads(&self) -> usize {
-        self.inner.threads()
-    }
-
-    /// The circuit under test.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.inner.circuit()
-    }
-
-    /// The fault universe being graded.
-    pub fn faults(&self) -> &TransitionFaultList {
-        &self.list
-    }
-
-    /// Status of fault `index`.
-    pub fn status_of(&self, index: usize) -> FaultStatus {
-        self.inner.status_of(index)
-    }
-
-    /// All statuses, parallel to [`TransitionSim::faults`].
-    pub fn statuses(&self) -> &[FaultStatus] {
-        self.inner.statuses()
-    }
-
-    /// Overrides the status of fault `index` (the delay ATPG uses this for
-    /// redundant / aborted bookkeeping).
-    pub fn set_status(&mut self, index: usize, status: FaultStatus) {
-        self.inner.set_status(index, status);
-    }
-
-    /// Global index of the first pattern whose capture detected fault
-    /// `index`.
-    pub fn first_detection(&self, index: usize) -> Option<u32> {
-        self.inner.first_detection(index)
-    }
-
-    /// Number of patterns consumed so far.
-    pub fn patterns_seen(&self) -> u32 {
-        self.inner.patterns_seen()
-    }
-
-    /// The work performed so far. Deterministic at every thread width.
-    pub fn counters(&self) -> SimCounters {
-        self.inner.counters()
-    }
-
-    /// The good-machine node values after the last consumed pattern — the
-    /// launch carry. Together with [`TransitionSim::statuses`] and
-    /// [`TransitionSim::patterns_seen`] this is a complete mid-sequence
-    /// checkpoint for [`TransitionSim::resume`].
-    pub fn carry_bits(&self) -> &[bool] {
-        self.inner.carry_bits()
-    }
-
-    /// Forgets all grading results and the sequence position.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// Grades `patterns` (in order, continuing any previously fed
-    /// sequence). Returns the number of newly detected faults.
-    pub fn simulate(&mut self, patterns: &[Pattern]) -> usize {
-        self.inner.simulate(patterns)
-    }
-
-    /// Coverage summary over the whole universe.
-    pub fn report(&self) -> CoverageReport {
-        self.inner.report()
-    }
-
-    /// The faults still open (undetected or aborted), with their indices.
-    pub fn open_faults(&self) -> Vec<(usize, TransitionFault)> {
-        self.list
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.inner.status_of(*i).is_open())
-            .map(|(i, f)| (i, *f))
-            .collect()
-    }
-}
+use crate::model::TransitionFault;
 
 impl WordFault for TransitionFault {
     /// The retained-value seed at the effect site: where the launch mask
@@ -224,8 +71,10 @@ fn launch_mask(ctx: &BlockCtx<'_>, fault: TransitionFault) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::model::Transition;
+    use crate::model::{Transition, TransitionFault, TransitionFaultList};
+    use bist_fault::FaultStatus;
+    use bist_faultsim::FaultSim;
+    use bist_logicsim::Pattern;
     use bist_netlist::GateKind;
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -241,7 +90,7 @@ mod tests {
         let c17 = bist_netlist::iscas85::c17();
         let faults = TransitionFaultList::universe(&c17);
         let total = faults.len();
-        let mut sim = TransitionSim::new(&c17, faults);
+        let mut sim = FaultSim::new(&c17, faults);
         sim.simulate(&random_sequence(5, 3000, 7));
         assert_eq!(
             sim.report().detected,
@@ -254,7 +103,7 @@ mod tests {
     fn single_pattern_detects_nothing() {
         let c17 = bist_netlist::iscas85::c17();
         let faults = TransitionFaultList::universe(&c17);
-        let mut sim = TransitionSim::new(&c17, faults);
+        let mut sim = FaultSim::new(&c17, faults);
         assert_eq!(sim.simulate(&[Pattern::from_fn(5, |_| true)]), 0);
     }
 
@@ -262,7 +111,7 @@ mod tests {
     fn repeated_pattern_launches_nothing() {
         let c17 = bist_netlist::iscas85::c17();
         let faults = TransitionFaultList::universe(&c17);
-        let mut sim = TransitionSim::new(&c17, faults);
+        let mut sim = FaultSim::new(&c17, faults);
         let p = Pattern::from_fn(5, |i| i % 2 == 0);
         assert_eq!(sim.simulate(&[p.clone(), p.clone(), p]), 0);
     }
@@ -282,14 +131,14 @@ mod tests {
         let rise: TransitionFaultList = [TransitionFault::stem(a, Transition::SlowToRise)]
             .into_iter()
             .collect();
-        let mut sim = TransitionSim::new(&c, rise.clone());
+        let mut sim = FaultSim::new(&c, rise.clone());
         let zero = Pattern::from_bits(&[false]);
         let one = Pattern::from_bits(&[true]);
         sim.simulate(&[zero.clone(), one.clone()]);
         assert_eq!(sim.report().detected, 1);
         assert_eq!(sim.first_detection(0), Some(1), "capture happens at t=1");
 
-        let mut sim = TransitionSim::new(&c, rise);
+        let mut sim = FaultSim::new(&c, rise);
         sim.simulate(&[one.clone(), zero.clone()]);
         assert_eq!(
             sim.report().detected,
@@ -300,7 +149,7 @@ mod tests {
         let fall: TransitionFaultList = [TransitionFault::stem(a, Transition::SlowToFall)]
             .into_iter()
             .collect();
-        let mut sim = TransitionSim::new(&c, fall);
+        let mut sim = FaultSim::new(&c, fall);
         sim.simulate(&[one, zero]);
         assert_eq!(sim.report().detected, 1);
     }
@@ -331,7 +180,7 @@ mod tests {
 
         // launch s: 0 -> 1 with en=0 at capture: branch undetected, stem
         // detected via y2
-        let mut sim = TransitionSim::new(&c, faults.clone());
+        let mut sim = FaultSim::new(&c, faults.clone());
         sim.simulate(&[
             Pattern::from_bits(&[false, false]),
             Pattern::from_bits(&[true, false]),
@@ -340,7 +189,7 @@ mod tests {
         assert_eq!(sim.status_of(1), FaultStatus::Detected);
 
         // same launch with en=1 at capture: both detected
-        let mut sim = TransitionSim::new(&c, faults);
+        let mut sim = FaultSim::new(&c, faults);
         sim.simulate(&[
             Pattern::from_bits(&[false, true]),
             Pattern::from_bits(&[true, true]),
@@ -355,10 +204,10 @@ mod tests {
         let faults = TransitionFaultList::universe(&c);
         let patterns = random_sequence(c.inputs().len(), 300, 42);
 
-        let mut mono = TransitionSim::new(&c, faults.clone());
+        let mut mono = FaultSim::new(&c, faults.clone());
         mono.simulate(&patterns);
 
-        let mut chunked = TransitionSim::new(&c, faults);
+        let mut chunked = FaultSim::new(&c, faults);
         for chunk in patterns.chunks(37) {
             chunked.simulate(chunk);
         }
@@ -378,11 +227,11 @@ mod tests {
         let faults = TransitionFaultList::universe(&c);
         let patterns = random_sequence(c.inputs().len(), 400, 7);
 
-        let mut serial = TransitionSim::new(&c, faults.clone()).with_threads(1);
+        let mut serial = FaultSim::new(&c, faults.clone()).with_threads(1);
         serial.simulate(&patterns);
 
         for threads in [2, 4] {
-            let mut par = TransitionSim::new(&c, faults.clone()).with_threads(threads);
+            let mut par = FaultSim::new(&c, faults.clone()).with_threads(threads);
             par.simulate(&patterns);
             assert_eq!(serial.statuses(), par.statuses(), "threads={threads}");
             for i in 0..serial.faults().len() {
@@ -406,12 +255,12 @@ mod tests {
         let faults = TransitionFaultList::universe(&c);
         let patterns = random_sequence(c.inputs().len(), 200, 23);
 
-        let mut straight = TransitionSim::new(&c, faults.clone());
+        let mut straight = FaultSim::new(&c, faults.clone());
         straight.simulate(&patterns);
 
-        let mut head = TransitionSim::new(&c, faults.clone());
+        let mut head = FaultSim::new(&c, faults.clone());
         head.simulate(&patterns[..77]);
-        let mut tail = TransitionSim::resume(
+        let mut tail = FaultSim::resume(
             &c,
             faults,
             head.statuses(),
@@ -432,11 +281,11 @@ mod tests {
         let patterns = random_sequence(c.inputs().len(), 128, 880);
 
         let tf = TransitionFaultList::universe(&c);
-        let mut tsim = TransitionSim::new(&c, tf);
+        let mut tsim = FaultSim::new(&c, tf);
         tsim.simulate(&patterns);
 
         let sa = bist_fault::FaultList::stuck_at_collapsed(&c);
-        let mut ssim = bist_faultsim::FaultSim::new(&c, sa);
+        let mut ssim = FaultSim::new(&c, sa);
         ssim.simulate(&patterns);
 
         assert!(
@@ -451,7 +300,7 @@ mod tests {
     fn reset_restores_initial_state() {
         let c17 = bist_netlist::iscas85::c17();
         let faults = TransitionFaultList::universe(&c17);
-        let mut sim = TransitionSim::new(&c17, faults);
+        let mut sim = FaultSim::new(&c17, faults);
         sim.simulate(&random_sequence(5, 100, 1));
         assert!(sim.report().detected > 0);
         sim.reset();

@@ -12,14 +12,15 @@
 //!   keeps every digest, cache key and wire byte unchanged; `transition`
 //!   grades launch-on-capture pattern *pairs*; `bridging` grades a
 //!   reproducibly sampled short universe).
-//! * [`ModelSim`] — one word-parallel simulator for any model, all three
-//!   backed by the same [`WordSim`](bist_faultsim::WordSim) engine
-//!   (64-pattern blocks, levelized cone propagation, fault dropping,
-//!   bit-identical results at every `bist-par` width).
 //! * [`serial_grade`] — the naive pattern-at-a-time oracles, for
-//!   property-testing the packed engines per model.
+//!   property-testing the one packed simulator,
+//!   [`FaultSim`](bist_faultsim::FaultSim), over each model's universe.
 //! * [`ModelSession`] — the mixed-scheme solve/sweep/curve flow over any
 //!   model, delegating to [`bist_core::BistSession`] for the default one.
+//!   The transition and bridging flows share one incremental prefix
+//!   grader (a `FaultSim` generic over the model's fault type), and the
+//!   transition top-up compacts with the stuck-at flow's compactor
+//!   (`bist_atpg::compact`).
 //! * [`estimate_coverage`] — seed-pinned stratified sampling of the
 //!   stuck-at universe with a Wilson confidence interval: the cheap
 //!   first answer a service returns before the exact run finishes.
@@ -47,7 +48,6 @@ mod session;
 
 pub use estimate::{estimate_coverage, CoverageEstimate};
 pub use model::{
-    serial_grade, FaultModel, ModelSim, ParseFaultModelError, DEFAULT_BRIDGE_PAIRS,
-    DEFAULT_BRIDGE_SEED,
+    serial_grade, FaultModel, ParseFaultModelError, DEFAULT_BRIDGE_PAIRS, DEFAULT_BRIDGE_SEED,
 };
 pub use session::ModelSession;

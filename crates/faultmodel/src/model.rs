@@ -1,10 +1,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-use bist_bridging::{BridgingFaultList, BridgingSim};
-use bist_delay::{TransitionFaultList, TransitionSim};
-use bist_fault::{FaultList, FaultStatus};
-use bist_faultsim::{CoverageReport, FaultSim, SimCounters};
+use bist_bridging::BridgingFaultList;
+use bist_delay::TransitionFaultList;
+use bist_fault::FaultList;
 use bist_logicsim::Pattern;
 use bist_netlist::Circuit;
 
@@ -164,187 +163,15 @@ impl FromStr for FaultModel {
     }
 }
 
-/// One fault simulator for any [`FaultModel`]: the dispatch face over
-/// [`FaultSim`] (stuck-at/stuck-open), [`TransitionSim`] and
-/// [`BridgingSim`], which all run on the same allocation-free
-/// [`WordSim`](bist_faultsim::WordSim) engine underneath.
-///
-/// All shared semantics come with the engine: 64-pattern word blocks,
-/// levelized cone propagation, fault dropping, first-detection indices,
-/// and bit-identical grading at every `bist-par` width.
-///
-/// # Example
-///
-/// ```
-/// use bist_faultmodel::{FaultModel, ModelSim};
-///
-/// let c17 = bist_netlist::iscas85::c17();
-/// let mut sim = ModelSim::new(&c17, FaultModel::Transition);
-/// sim.simulate(&bist_lfsr::pseudo_random_patterns(bist_lfsr::paper_poly(), 5, 128));
-/// assert!(sim.report().coverage_pct() > 50.0);
-/// ```
-#[derive(Debug)]
-pub enum ModelSim<'c> {
-    /// Stuck-at / stuck-open grading.
-    StuckAt(FaultSim<'c>),
-    /// Transition-delay grading over consecutive pattern pairs.
-    Transition(TransitionSim<'c>),
-    /// Bridging grading (voltage-sense, with Iddq excitation tracked).
-    Bridging(BridgingSim<'c>),
-}
-
-impl<'c> ModelSim<'c> {
-    /// Builds the model's standard universe on `circuit` and a simulator
-    /// over it (pool width from `BIST_THREADS` / the machine).
-    pub fn new(circuit: &'c Circuit, model: FaultModel) -> Self {
-        match model {
-            FaultModel::StuckAt => {
-                ModelSim::StuckAt(FaultSim::new(circuit, FaultList::mixed_model(circuit)))
-            }
-            FaultModel::Transition => ModelSim::Transition(TransitionSim::new(
-                circuit,
-                TransitionFaultList::universe(circuit),
-            )),
-            FaultModel::Bridging { pairs, seed } => ModelSim::Bridging(BridgingSim::new(
-                circuit,
-                BridgingFaultList::sample(circuit, pairs as usize, seed),
-            )),
-        }
-    }
-
-    /// The model this simulator grades. Bridging parameters are not
-    /// recoverable from the universe, so this reports the bare variant
-    /// with the universe's actual size.
-    pub fn model_name(&self) -> &'static str {
-        match self {
-            ModelSim::StuckAt(_) => "stuck-at",
-            ModelSim::Transition(_) => "transition",
-            ModelSim::Bridging(_) => "bridging",
-        }
-    }
-
-    /// Sets the pool width for subsequent grading (`0` = automatic).
-    /// Results never depend on this knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        match self {
-            ModelSim::StuckAt(s) => s.set_threads(threads),
-            ModelSim::Transition(s) => s.set_threads(threads),
-            ModelSim::Bridging(s) => s.set_threads(threads),
-        }
-    }
-
-    /// Builder form of [`ModelSim::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// Number of faults in the universe.
-    pub fn universe_len(&self) -> usize {
-        self.statuses().len()
-    }
-
-    /// Status of every fault, in universe order.
-    pub fn statuses(&self) -> &[FaultStatus] {
-        match self {
-            ModelSim::StuckAt(s) => s.statuses(),
-            ModelSim::Transition(s) => s.statuses(),
-            ModelSim::Bridging(s) => s.statuses(),
-        }
-    }
-
-    /// Status of fault `index`.
-    pub fn status_of(&self, index: usize) -> FaultStatus {
-        match self {
-            ModelSim::StuckAt(s) => s.status_of(index),
-            ModelSim::Transition(s) => s.status_of(index),
-            ModelSim::Bridging(s) => s.status_of(index),
-        }
-    }
-
-    /// Global index of the first pattern that detected fault `index`.
-    pub fn first_detection(&self, index: usize) -> Option<u32> {
-        match self {
-            ModelSim::StuckAt(s) => s.first_detection(index),
-            ModelSim::Transition(s) => s.first_detection(index),
-            ModelSim::Bridging(s) => s.first_detection(index),
-        }
-    }
-
-    /// Human-readable description of fault `index`.
-    pub fn describe(&self, index: usize, circuit: &Circuit) -> Option<String> {
-        match self {
-            ModelSim::StuckAt(s) => s.faults().get(index).map(|f| f.describe(circuit)),
-            ModelSim::Transition(s) => s.faults().get(index).map(|f| f.describe(circuit)),
-            ModelSim::Bridging(s) => s.faults().get(index).map(|f| f.describe(circuit)),
-        }
-    }
-
-    /// Number of patterns consumed so far.
-    pub fn patterns_seen(&self) -> u32 {
-        match self {
-            ModelSim::StuckAt(s) => s.patterns_seen(),
-            ModelSim::Transition(s) => s.patterns_seen(),
-            ModelSim::Bridging(s) => s.patterns_seen(),
-        }
-    }
-
-    /// The engine work counters. Deterministic at every thread width.
-    pub fn counters(&self) -> SimCounters {
-        match self {
-            ModelSim::StuckAt(s) => s.counters(),
-            ModelSim::Transition(s) => s.counters(),
-            ModelSim::Bridging(s) => s.counters(),
-        }
-    }
-
-    /// Iddq (excitation-only) coverage — meaningful for bridging only,
-    /// `None` for the other models.
-    pub fn iddq_coverage_pct(&self) -> Option<f64> {
-        match self {
-            ModelSim::Bridging(s) => Some(s.iddq_coverage_pct()),
-            _ => None,
-        }
-    }
-
-    /// Grades `patterns` as a continuation of everything fed so far
-    /// (transition and stuck-open faults pair across call boundaries).
-    /// Returns the number of newly detected faults.
-    pub fn simulate(&mut self, patterns: &[Pattern]) -> usize {
-        match self {
-            ModelSim::StuckAt(s) => s.simulate(patterns),
-            ModelSim::Transition(s) => s.simulate(patterns),
-            ModelSim::Bridging(s) => s.simulate(patterns),
-        }
-    }
-
-    /// Forgets all grading results and the sequence position.
-    pub fn reset(&mut self) {
-        match self {
-            ModelSim::StuckAt(s) => s.reset(),
-            ModelSim::Transition(s) => s.reset(),
-            ModelSim::Bridging(s) => s.reset(),
-        }
-    }
-
-    /// Coverage summary over the universe.
-    pub fn report(&self) -> CoverageReport {
-        match self {
-            ModelSim::StuckAt(s) => s.report(),
-            ModelSim::Transition(s) => s.report(),
-            ModelSim::Bridging(s) => s.report(),
-        }
-    }
-}
-
 /// Grades `patterns` against `model`'s standard universe on `circuit`
 /// with the naive pattern-at-a-time **serial oracles** — one independent
 /// reference implementation per model, none of them sharing code with the
 /// packed engine. Returns, per fault, the index of the first detecting
 /// pattern.
 ///
-/// This is the cross-model identity anchor: property tests pit
-/// [`ModelSim`] (any width) against this function.
+/// This is the cross-model identity anchor: property tests pit the
+/// packed [`FaultSim`](bist_faultsim::FaultSim) (any width) over the same
+/// universe against this function.
 pub fn serial_grade(
     circuit: &Circuit,
     model: FaultModel,
@@ -386,6 +213,38 @@ pub fn serial_grade(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bist_faultsim::{FaultSim, WordFault};
+
+    /// Each fault's first detection under `patterns`, graded by the packed
+    /// engine over `model`'s standard universe.
+    fn packed_grade(
+        circuit: &Circuit,
+        model: FaultModel,
+        patterns: &[Pattern],
+    ) -> Vec<Option<u32>> {
+        fn grade<F: WordFault>(
+            circuit: &Circuit,
+            faults: impl IntoIterator<Item = F>,
+            patterns: &[Pattern],
+        ) -> Vec<Option<u32>> {
+            let mut sim = FaultSim::new(circuit, faults);
+            sim.simulate(patterns);
+            (0..sim.faults().len())
+                .map(|i| sim.first_detection(i))
+                .collect()
+        }
+        match model {
+            FaultModel::StuckAt => grade(circuit, FaultList::mixed_model(circuit), patterns),
+            FaultModel::Transition => {
+                grade(circuit, TransitionFaultList::universe(circuit), patterns)
+            }
+            FaultModel::Bridging { pairs, seed } => grade(
+                circuit,
+                BridgingFaultList::sample(circuit, pairs as usize, seed),
+                patterns,
+            ),
+        }
+    }
 
     #[test]
     fn parse_display_round_trips() {
@@ -430,38 +289,8 @@ mod tests {
         ] {
             let n = model.universe_len(&c17);
             assert!(n > 0, "{model}: empty universe");
-            assert_eq!(ModelSim::new(&c17, model).universe_len(), n, "{model}");
+            assert_eq!(packed_grade(&c17, model, &[]).len(), n, "{model}");
         }
-    }
-
-    #[test]
-    fn dispatch_matches_the_dedicated_simulators() {
-        let c17 = bist_netlist::iscas85::c17();
-        let patterns = bist_lfsr::pseudo_random_patterns(bist_lfsr::paper_poly(), 5, 96);
-
-        let mut stuck = FaultSim::new(&c17, FaultList::mixed_model(&c17));
-        stuck.simulate(&patterns);
-        let mut via = ModelSim::new(&c17, FaultModel::StuckAt);
-        via.simulate(&patterns);
-        assert_eq!(via.statuses(), stuck.statuses());
-
-        let mut transition = TransitionSim::new(&c17, TransitionFaultList::universe(&c17));
-        transition.simulate(&patterns);
-        let mut via = ModelSim::new(&c17, FaultModel::Transition);
-        via.simulate(&patterns);
-        assert_eq!(via.statuses(), transition.statuses());
-
-        let universe = BridgingFaultList::sample(&c17, 40, 7);
-        let mut bridging = BridgingSim::new(&c17, universe);
-        bridging.simulate(&patterns);
-        let mut via = ModelSim::new(&c17, FaultModel::Bridging { pairs: 40, seed: 7 });
-        via.simulate(&patterns);
-        assert_eq!(via.statuses(), bridging.statuses());
-        assert_eq!(
-            via.iddq_coverage_pct(),
-            Some(bridging.iddq_coverage_pct()),
-            "iddq must flow through the dispatch"
-        );
     }
 
     #[test]
@@ -474,15 +303,10 @@ mod tests {
             FaultModel::Bridging { pairs: 30, seed: 3 },
         ] {
             let serial = serial_grade(&c17, model, &patterns);
-            let mut packed = ModelSim::new(&c17, model);
-            packed.simulate(&patterns);
-            for (i, &expect) in serial.iter().enumerate() {
-                assert_eq!(
-                    expect,
-                    packed.first_detection(i),
-                    "{model}: fault {} disagrees",
-                    packed.describe(i, &c17).unwrap()
-                );
+            let packed = packed_grade(&c17, model, &patterns);
+            assert_eq!(serial.len(), packed.len(), "{model}");
+            for (i, (&expect, &got)) in serial.iter().zip(&packed).enumerate() {
+                assert_eq!(expect, got, "{model}: fault {i} disagrees");
             }
         }
     }

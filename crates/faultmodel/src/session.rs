@@ -3,16 +3,16 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bist_bridging::{BridgingFaultList, BridgingSim};
+use bist_bridging::{BridgingFault, BridgingFaultList};
 use bist_core::{
     BistSession, MixedGenerator, MixedSchemeConfig, MixedSchemeError, MixedSolution, SessionStats,
     SweepSummary,
 };
-use bist_delay::{
-    DelayAtpgOptions, DelayRun, DelayTestGenerator, TransitionFaultList, TransitionSim,
-};
-use bist_faultsim::{CoverageCurve, CoverageReport};
+use bist_delay::{DelayRun, DelayTestGenerator, TransitionFault, TransitionFaultList};
+use bist_fault::FaultStatus;
+use bist_faultsim::{CoverageCurve, CoverageReport, FaultSim, WordFault};
 use bist_lfsr::{Lfsr, ScanExpander};
+use bist_logicsim::Pattern;
 use bist_netlist::Circuit;
 
 use crate::model::FaultModel;
@@ -36,9 +36,12 @@ use crate::model::FaultModel;
 ///   figures answer "how much of a realistic short universe does a
 ///   stuck-at-derived BIST sequence detect?".
 ///
-/// Prefix requests advance one shared simulator monotonically; a request
-/// below the front re-grades from scratch and is counted in
-/// [`SessionStats::patterns_resimulated`].
+/// The transition and bridging flows grade prefixes through one shared
+/// incremental grader: requests advance one simulator monotonically; a
+/// request below the front re-grades from scratch and is counted in
+/// [`SessionStats::patterns_resimulated`]. Simulators and the delay ATPG
+/// run at the configuration's one pool width
+/// ([`MixedSchemeConfig::atpg_options`]).
 ///
 /// # Example
 ///
@@ -100,7 +103,7 @@ impl<'c> ModelSession<'c> {
         match &self.inner {
             Inner::StuckAt(s) => s.circuit(),
             Inner::Transition(s) => s.circuit,
-            Inner::Bridging(s) => s.circuit,
+            Inner::Bridging(s) => s.stuck.circuit(),
         }
     }
 
@@ -108,8 +111,8 @@ impl<'c> ModelSession<'c> {
     pub fn universe_len(&self) -> usize {
         match &self.inner {
             Inner::StuckAt(s) => s.faults().len(),
-            Inner::Transition(s) => s.universe.len(),
-            Inner::Bridging(s) => s.universe.len(),
+            Inner::Transition(s) => s.grader.universe().len(),
+            Inner::Bridging(s) => s.grader.universe().len(),
         }
     }
 
@@ -171,15 +174,15 @@ impl<'c> ModelSession<'c> {
     pub fn random_coverage_curve(&mut self, checkpoints: &[usize]) -> CoverageCurve {
         match &mut self.inner {
             Inner::StuckAt(s) => s.random_coverage_curve(checkpoints),
-            Inner::Transition(s) => curve(checkpoints, |cp| s.statuses_at(cp)),
-            Inner::Bridging(s) => curve(checkpoints, |cp| s.statuses_at(cp)),
+            Inner::Transition(s) => curve(checkpoints, |cp| s.grader.statuses_at(cp, &mut s.stats)),
+            Inner::Bridging(s) => curve(checkpoints, |cp| s.grader.statuses_at(cp, &mut s.extra)),
         }
     }
 }
 
 fn curve(
     checkpoints: &[usize],
-    mut statuses_at: impl FnMut(usize) -> Vec<bist_fault::FaultStatus>,
+    mut statuses_at: impl FnMut(usize) -> Vec<FaultStatus>,
 ) -> CoverageCurve {
     let points = checkpoints
         .iter()
@@ -198,16 +201,80 @@ pub(crate) fn stream(config: &MixedSchemeConfig, circuit: &Circuit) -> ScanExpan
     ScanExpander::new(Lfsr::fibonacci(config.poly, 1), circuit.inputs().len())
 }
 
+/// Incremental prefix grading over one model's universe, shared by the
+/// transition and bridging flows: one simulator advanced monotonically
+/// along the scheme's pseudo-random stream, so each prefix pattern is
+/// graded once. A request below the front re-grades on a fresh simulator
+/// and leaves the shared one untouched.
+#[derive(Debug)]
+struct PrefixGrader<'c, F> {
+    /// The shared simulator; it holds the universe.
+    sim: FaultSim<'c, F>,
+    /// The stream, positioned at the front.
+    expander: ScanExpander,
+    /// The stream at its start, for re-grades.
+    origin: ScanExpander,
+    /// Prefix patterns the shared simulator has consumed.
+    front: usize,
+}
+
+impl<'c, F: WordFault> PrefixGrader<'c, F> {
+    fn new(
+        circuit: &'c Circuit,
+        config: &MixedSchemeConfig,
+        universe: impl IntoIterator<Item = F>,
+    ) -> Self {
+        let origin = stream(config, circuit);
+        PrefixGrader {
+            sim: FaultSim::new(circuit, universe).with_threads(config.threads),
+            expander: origin.clone(),
+            origin,
+            front: 0,
+        }
+    }
+
+    fn universe(&self) -> &[F] {
+        self.sim.faults()
+    }
+
+    /// Fault statuses after exactly `p` prefix patterns; the patterns
+    /// graded to answer are counted in `stats`.
+    fn statuses_at(&mut self, p: usize, stats: &mut SessionStats) -> Vec<FaultStatus> {
+        if p >= self.front {
+            let chunk = self.expander.patterns(p - self.front);
+            self.sim.simulate(&chunk);
+            stats.patterns_simulated += chunk.len();
+            self.front = p;
+            self.sim.statuses().to_vec()
+        } else {
+            stats.patterns_resimulated += p;
+            self.regrade(p, &[]).statuses().to_vec()
+        }
+    }
+
+    /// A fresh simulator over the universe, at the shared one's width,
+    /// that has graded the first `p` prefix patterns and then `suffix`.
+    fn regrade(&self, p: usize, suffix: &[Pattern]) -> FaultSim<'c, F> {
+        let mut sim = FaultSim::new(self.sim.circuit(), self.universe().iter().copied())
+            .with_threads(self.sim.threads());
+        sim.simulate(&self.prefix(p));
+        sim.simulate(suffix);
+        sim
+    }
+
+    /// The first `p` patterns of the stream.
+    fn prefix(&self, p: usize) -> Vec<Pattern> {
+        self.origin.clone().patterns(p)
+    }
+}
+
 /// Transition-model flow: incremental pair-wise prefix grading plus the
 /// two-pattern deterministic top-up, cached per prefix length.
 #[derive(Debug)]
 struct TransitionSession<'c> {
     circuit: &'c Circuit,
     config: MixedSchemeConfig,
-    universe: TransitionFaultList,
-    sim: TransitionSim<'c>,
-    expander: ScanExpander,
-    simulated: usize,
+    grader: PrefixGrader<'c, TransitionFault>,
     /// Deterministic top-ups keyed by prefix length: a delay top-up pairs
     /// its first vector with the *last prefix pattern*, so — unlike the
     /// stuck-at flow — equal open frontiers at different `p` may still
@@ -218,37 +285,13 @@ struct TransitionSession<'c> {
 
 impl<'c> TransitionSession<'c> {
     fn new(circuit: &'c Circuit, config: MixedSchemeConfig) -> Self {
-        let universe = TransitionFaultList::universe(circuit);
-        let sim = TransitionSim::new(circuit, universe.clone()).with_threads(config.threads);
-        let expander = stream(&config, circuit);
+        let grader = PrefixGrader::new(circuit, &config, TransitionFaultList::universe(circuit));
         TransitionSession {
             circuit,
             config,
-            universe,
-            sim,
-            expander,
-            simulated: 0,
+            grader,
             runs: BTreeMap::new(),
             stats: SessionStats::default(),
-        }
-    }
-
-    fn statuses_at(&mut self, p: usize) -> Vec<bist_fault::FaultStatus> {
-        if p >= self.simulated {
-            let chunk = self.expander.patterns(p - self.simulated);
-            self.sim.simulate(&chunk);
-            self.stats.patterns_simulated += chunk.len();
-            self.simulated = p;
-            self.sim.statuses().to_vec()
-        } else {
-            // below the incremental front: re-grade from scratch without
-            // disturbing the shared simulator
-            let mut sim = TransitionSim::new(self.circuit, self.universe.clone())
-                .with_threads(self.config.threads);
-            let prefix = stream(&self.config, self.circuit).patterns(p);
-            sim.simulate(&prefix);
-            self.stats.patterns_resimulated += p;
-            sim.statuses().to_vec()
         }
     }
 
@@ -257,16 +300,13 @@ impl<'c> TransitionSession<'c> {
             self.stats.atpg_cache_hits += 1;
             return Rc::clone(hit);
         }
-        let prefix = stream(&self.config, self.circuit).patterns(p);
+        let prefix = self.grader.prefix(p);
         let run = Rc::new(
             DelayTestGenerator::new(
                 self.circuit,
-                self.universe.clone(),
-                DelayAtpgOptions {
-                    podem: self.config.atpg.podem,
-                    no_compaction: self.config.atpg.no_compaction,
-                    prefix,
-                },
+                self.grader.universe().iter().copied().collect(),
+                self.config.atpg_options(),
+                &prefix,
             )
             .run(),
         );
@@ -276,7 +316,7 @@ impl<'c> TransitionSession<'c> {
     }
 
     fn solve_at(&mut self, p: usize) -> Result<MixedSolution, MixedSchemeError> {
-        let statuses = self.statuses_at(p);
+        let statuses = self.grader.statuses_at(p, &mut self.stats);
         let prefix_coverage = CoverageReport::from_statuses(&statuses);
         let run = self.run_for(p);
         let det = run.sequence();
@@ -299,12 +339,7 @@ impl<'c> TransitionSession<'c> {
 /// bridge universe is graded against its full mixed sequence.
 #[derive(Debug)]
 struct BridgingSession<'c> {
-    circuit: &'c Circuit,
-    config: MixedSchemeConfig,
-    universe: BridgingFaultList,
-    sim: BridgingSim<'c>,
-    expander: ScanExpander,
-    simulated: usize,
+    grader: PrefixGrader<'c, BridgingFault>,
     stuck: BistSession<'c>,
     /// Bridge-grading counters; the ATPG side lives in `stuck`.
     extra: SessionStats,
@@ -313,17 +348,9 @@ struct BridgingSession<'c> {
 impl<'c> BridgingSession<'c> {
     fn new(circuit: &'c Circuit, config: MixedSchemeConfig, pairs: u32, seed: u64) -> Self {
         let universe = BridgingFaultList::sample(circuit, pairs as usize, seed);
-        let sim = BridgingSim::new(circuit, universe.clone()).with_threads(config.threads);
-        let expander = stream(&config, circuit);
-        let stuck = BistSession::new(circuit, config.clone());
         BridgingSession {
-            circuit,
-            config,
-            universe,
-            sim,
-            expander,
-            simulated: 0,
-            stuck,
+            grader: PrefixGrader::new(circuit, &config, universe),
+            stuck: BistSession::new(circuit, config),
             extra: SessionStats::default(),
         }
     }
@@ -337,34 +364,13 @@ impl<'c> BridgingSession<'c> {
         }
     }
 
-    fn statuses_at(&mut self, p: usize) -> Vec<bist_fault::FaultStatus> {
-        if p >= self.simulated {
-            let chunk = self.expander.patterns(p - self.simulated);
-            self.sim.simulate(&chunk);
-            self.extra.patterns_simulated += chunk.len();
-            self.simulated = p;
-            self.sim.statuses().to_vec()
-        } else {
-            let mut sim = BridgingSim::new(self.circuit, self.universe.clone())
-                .with_threads(self.config.threads);
-            let prefix = stream(&self.config, self.circuit).patterns(p);
-            sim.simulate(&prefix);
-            self.extra.patterns_resimulated += p;
-            sim.statuses().to_vec()
-        }
-    }
-
     fn solve_at(&mut self, p: usize) -> Result<MixedSolution, MixedSchemeError> {
-        let statuses = self.statuses_at(p);
+        let statuses = self.grader.statuses_at(p, &mut self.extra);
         let prefix_coverage = CoverageReport::from_statuses(&statuses);
         let stuck = self.stuck.solve_at(p)?;
         // grade the bridge universe over the *full* mixed sequence the
         // stuck-at hardware emits: prefix, then deterministic suffix
-        let mut graded =
-            BridgingSim::new(self.circuit, self.universe.clone()).with_threads(self.config.threads);
-        let prefix = stream(&self.config, self.circuit).patterns(p);
-        graded.simulate(&prefix);
-        graded.simulate(stuck.generator.deterministic());
+        let graded = self.grader.regrade(p, stuck.generator.deterministic());
         self.extra.patterns_resimulated += p + stuck.det_len;
         Ok(MixedSolution {
             coverage: graded.report(),

@@ -1,7 +1,8 @@
 //! PPSFP fault simulation for the LFSROM mixed-BIST reproduction.
 //!
-//! Implements *parallel-pattern single-fault propagation*: 64 patterns are
-//! simulated bit-parallel through the good machine, then each live fault is
+//! One simulator, [`FaultSim`], implements *parallel-pattern single-fault
+//! propagation* for every fault model: 64 patterns are simulated
+//! bit-parallel through the good machine, then each live fault is
 //! injected and only its fan-out cone re-evaluated, comparing primary
 //! outputs to the good machine. Faults are dropped on first detection.
 //! On top of the bit-parallelism the live faults of every block are
@@ -10,7 +11,9 @@
 //! deterministic fault-order merge, so grading results are bit-identical
 //! at every thread count.
 //!
-//! Both fault classes of the paper's model are graded:
+//! A model is a [`WordFault`]: it supplies only the faulty seed word(s) of
+//! one fault for one block. This crate implements it for the paper's
+//! [`Fault`](bist_fault::Fault) universe, the simulator's default:
 //!
 //! * **stuck-at** — classic single-pattern detection;
 //! * **stuck-open** — two-pattern detection over *consecutive* patterns of
@@ -19,6 +22,10 @@
 //!   boundaries, so a sequence graded in chunks behaves identically to one
 //!   graded in a single call. Initialization uses good-machine values
 //!   (single-fault, non-robust two-pattern semantics).
+//!
+//! `bist-delay` and `bist-bridging` implement it for transition and
+//! bridging faults, so `FaultSim<'_, TransitionFault>` and
+//! `FaultSim<'_, BridgingFault>` grade those universes on the same engine.
 //!
 //! The crate also contains [`serial`] — a deliberately naive
 //! pattern-at-a-time reference simulator used as the oracle in property
@@ -48,10 +55,7 @@
 mod ppsfp;
 mod report;
 pub mod serial;
-mod testability;
 mod wordsim;
 
-pub use ppsfp::FaultSim;
 pub use report::{CoverageCurve, CoverageReport};
-pub use testability::Testability;
-pub use wordsim::{BlockCtx, Seeds, SimCounters, WordFault, WordSim};
+pub use wordsim::{BlockCtx, FaultSim, Seeds, SimCounters, WordFault};

@@ -1,160 +1,13 @@
-use bist_fault::{CollapsedUniverse, Fault, FaultList, FaultStatus};
-use bist_logicsim::Pattern;
-use bist_netlist::{Circuit, NodeId};
+//! The paper's stuck-at + stuck-open model on the word-parallel engine:
+//! the faulty seed words of a [`Fault`], and the collapsed-universe
+//! projections of the stuck-at flow.
 
-use crate::wordsim::{BlockCtx, Seeds, SimCounters, WordFault, WordSim};
+use bist_fault::{CollapsedUniverse, Fault, FaultStatus};
+use bist_netlist::NodeId;
 
-/// Parallel-pattern single-fault-propagation simulator with fault dropping
-/// for the paper's stuck-at + stuck-open universe.
-///
-/// Create one per (circuit, fault list) pair, feed it patterns with
-/// [`FaultSim::simulate`] — in one call or incrementally; the engine keeps
-/// the sequence position and the previous pattern, so stuck-open pairs
-/// spanning call boundaries are honoured — then read results via
-/// [`FaultSim::report`], [`FaultSim::status_of`] and
-/// [`FaultSim::first_detection`].
-///
-/// This is the stuck-at/stuck-open instantiation of the model-generic
-/// [`WordSim`] engine: the [`Fault`] model contributes only the faulty
-/// seed words (see the [`WordFault`] impl below); everything else —
-/// flattened-graph good machine, allocation-free levelized cone
-/// propagation, live-list fault dropping, `bist-par` sharding with
-/// fault-order merge (**bit-identical at every thread count**), carry
-/// checkpoints — lives in the shared engine.
-#[derive(Debug)]
-pub struct FaultSim<'c> {
-    /// The universe, kept in list form for [`FaultSim::faults`] /
-    /// [`FaultSim::open_faults`] (the engine holds its own flat copy).
-    list: FaultList,
-    inner: WordSim<'c, Fault>,
-}
+use crate::wordsim::{BlockCtx, FaultSim, Seeds, WordFault};
 
-impl<'c> FaultSim<'c> {
-    /// Creates a simulator grading `faults` on `circuit`, with the pool
-    /// width taken from `BIST_THREADS` / the machine.
-    pub fn new(circuit: &'c Circuit, faults: FaultList) -> Self {
-        let flat: Vec<Fault> = faults.iter().copied().collect();
-        FaultSim {
-            list: faults,
-            inner: WordSim::new(circuit, flat),
-        }
-    }
-
-    /// Re-creates a simulator mid-sequence from a carry checkpoint: the
-    /// per-fault `statuses` and good-machine `carry` bits recorded after
-    /// exactly `patterns_seen` patterns of some sequence (see
-    /// [`FaultSim::carry_bits`]). Feeding the remainder of that sequence
-    /// behaves exactly like one simulator that consumed it end to end,
-    /// except that [`FaultSim::first_detection`] is only populated for
-    /// faults detected *after* the resume point (earlier detections carry
-    /// a status but no index).
-    pub fn resume(
-        circuit: &'c Circuit,
-        faults: FaultList,
-        statuses: &[FaultStatus],
-        carry: &[bool],
-        patterns_seen: u32,
-    ) -> Self {
-        let flat: Vec<Fault> = faults.iter().copied().collect();
-        FaultSim {
-            list: faults,
-            inner: WordSim::resume(circuit, flat, statuses, carry, patterns_seen),
-        }
-    }
-
-    /// Sets the pool width for subsequent [`FaultSim::simulate`] calls
-    /// (`0` = automatic: `BIST_THREADS` or the machine width). Grading
-    /// results never depend on this knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.inner.set_threads(threads);
-    }
-
-    /// Pretends the machine has `n` hardware threads (see
-    /// `WordSim::set_hw_threads`): keeps the sharded path under test on
-    /// boxes narrower than the test's pool.
-    #[cfg(test)]
-    pub(crate) fn set_hw_threads(&mut self, n: usize) {
-        self.inner.set_hw_threads(n);
-    }
-
-    /// Builder form of [`FaultSim::set_threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
-    /// The pool width grading currently uses.
-    pub fn threads(&self) -> usize {
-        self.inner.threads()
-    }
-
-    /// The circuit under test.
-    pub fn circuit(&self) -> &'c Circuit {
-        self.inner.circuit()
-    }
-
-    /// The fault universe being graded.
-    pub fn faults(&self) -> &FaultList {
-        &self.list
-    }
-
-    /// Status of fault `index`.
-    pub fn status_of(&self, index: usize) -> FaultStatus {
-        self.inner.status_of(index)
-    }
-
-    /// All statuses, parallel to [`FaultSim::faults`].
-    pub fn statuses(&self) -> &[FaultStatus] {
-        self.inner.statuses()
-    }
-
-    /// Overrides the status of fault `index` (the ATPG uses this to mark
-    /// redundant or aborted faults).
-    pub fn set_status(&mut self, index: usize, status: FaultStatus) {
-        self.inner.set_status(index, status);
-    }
-
-    /// Global index (0-based position in the full sequence fed so far) of
-    /// the first pattern that detected fault `index`.
-    pub fn first_detection(&self, index: usize) -> Option<u32> {
-        self.inner.first_detection(index)
-    }
-
-    /// Number of patterns consumed so far.
-    pub fn patterns_seen(&self) -> u32 {
-        self.inner.patterns_seen()
-    }
-
-    /// The work performed so far (blocks, good-machine gate evaluations,
-    /// cone events). Deterministic at every thread width.
-    pub fn counters(&self) -> SimCounters {
-        self.inner.counters()
-    }
-
-    /// The good-machine node values after the last consumed pattern — the
-    /// stuck-open carry. Together with [`FaultSim::statuses`] and
-    /// [`FaultSim::patterns_seen`] this is a complete mid-sequence
-    /// checkpoint for [`FaultSim::resume`].
-    pub fn carry_bits(&self) -> &[bool] {
-        self.inner.carry_bits()
-    }
-
-    /// Forgets all grading results and the sequence position.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// Grades `patterns` (in order, continuing any previously fed
-    /// sequence). Returns the number of newly detected faults.
-    pub fn simulate(&mut self, patterns: &[Pattern]) -> usize {
-        self.inner.simulate(patterns)
-    }
-
-    /// Coverage summary over the whole universe.
-    pub fn report(&self) -> crate::CoverageReport {
-        self.inner.report()
-    }
-
+impl FaultSim<'_, Fault> {
     /// The per-fault statuses of the *full* stuck-at universe, for a
     /// simulator grading only `universe`'s representatives: each full
     /// fault reports its class representative's status. Because every
@@ -167,11 +20,11 @@ impl<'c> FaultSim<'c> {
     /// `universe.representatives()`.
     pub fn statuses_projected(&self, universe: &CollapsedUniverse) -> Vec<FaultStatus> {
         assert_eq!(
-            &self.list,
-            universe.representatives(),
+            self.faults(),
+            universe.representatives().faults(),
             "simulator must grade the universe's representative list"
         );
-        universe.project(self.inner.statuses())
+        universe.project(self.statuses())
     }
 
     /// Coverage summary over the *full* stuck-at universe, for a
@@ -179,17 +32,6 @@ impl<'c> FaultSim<'c> {
     /// [`FaultSim::statuses_projected`]).
     pub fn report_projected(&self, universe: &CollapsedUniverse) -> crate::CoverageReport {
         crate::CoverageReport::from_statuses(&self.statuses_projected(universe))
-    }
-
-    /// The faults that are still open (undetected or aborted), with their
-    /// indices in the original universe.
-    pub fn open_faults(&self) -> Vec<(usize, Fault)> {
-        self.list
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.inner.status_of(*i).is_open())
-            .map(|(i, f)| (i, *f))
-            .collect()
     }
 }
 
@@ -309,7 +151,9 @@ fn parallel_excitation(ctx: &BlockCtx<'_>, site: NodeId, p: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimCounters;
     use bist_fault::FaultList;
+    use bist_logicsim::Pattern;
     use bist_netlist::GateKind;
 
     fn exhaustive_patterns(width: usize) -> Vec<Pattern> {

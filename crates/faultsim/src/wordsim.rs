@@ -1,11 +1,11 @@
-//! The model-generic word-parallel fault-grading engine.
+//! The word-parallel fault simulator, generic over the fault model.
 //!
-//! Every fault model in the workspace — stuck-at/stuck-open
-//! ([`crate::FaultSim`]), transition-delay (`bist-delay`), bridging
+//! Every fault model in the workspace — stuck-at/stuck-open ([`Fault`],
+//! the default), transition-delay (`bist-delay`), bridging
 //! (`bist-bridging`) — grades the same way: simulate 64 patterns
 //! bit-parallel through the good machine, inject one fault, re-evaluate
 //! only its fan-out cone with the levelized bucket queue, and compare
-//! primary outputs. [`WordSim`] implements that loop once, generically
+//! primary outputs. [`FaultSim`] implements that loop once, generically
 //! over a [`WordFault`]: the model contributes only its *seed* — the
 //! faulty value word(s) at the injection site(s) — and the engine owns
 //! everything else: the flattened [`SimGraph`] good machine, the
@@ -25,7 +25,7 @@
 
 use std::sync::Mutex;
 
-use bist_fault::FaultStatus;
+use bist_fault::{Fault, FaultStatus};
 use bist_logicsim::{Pattern, PatternBlock};
 use bist_netlist::{Circuit, GateKind, LevelQueue, SimGraph};
 use bist_par::Pool;
@@ -45,7 +45,7 @@ const PAR_MIN_FAULTS: usize = 128;
 /// between bit-identical code paths.
 const PAR_MIN_FAULTS_PER_WORKER: usize = 256;
 
-/// Monotonic work counters of one [`WordSim`], exposed so throughput
+/// Monotonic work counters of one [`FaultSim`], exposed so throughput
 /// benchmarks can report rates (and so reviews can assert the steady-state
 /// block loop does the expected amount of work and nothing more). All
 /// counts are deterministic — identical at every thread width.
@@ -127,7 +127,7 @@ impl Seeds {
 }
 
 /// One fault of a word-parallel model: the only thing a model contributes
-/// to [`WordSim`] is how to compute its faulty seed word(s) from the
+/// to [`FaultSim`] is how to compute its faulty seed word(s) from the
 /// block's good-machine values.
 pub trait WordFault: Copy + Send + Sync {
     /// Whether the engine tracks per-fault excitation every block (the
@@ -287,18 +287,19 @@ impl BlockCtx<'_> {
     }
 }
 
-/// The model-generic parallel-pattern single-fault-propagation simulator
-/// with fault dropping. See the `wordsim` module docs for the division
-/// of labour between the engine and a [`WordFault`] model.
+/// The parallel-pattern single-fault-propagation simulator with fault
+/// dropping, for any [`WordFault`] model — the paper's stuck-at +
+/// stuck-open [`Fault`] universe by default. See the module docs for the
+/// division of labour between the engine and a model.
 ///
 /// Create one per (circuit, fault universe) pair, feed it patterns with
-/// [`WordSim::simulate`] — in one call or incrementally; the engine keeps
+/// [`FaultSim::simulate`] — in one call or incrementally; the engine keeps
 /// the sequence position and the previous pattern, so two-pattern
-/// launches spanning call boundaries are honoured — then read results via
-/// [`WordSim::report`], [`WordSim::status_of`] and
-/// [`WordSim::first_detection`].
+/// launches (stuck-open pairs, transition launches) spanning call
+/// boundaries are honoured — then read results via [`FaultSim::report`],
+/// [`FaultSim::status_of`] and [`FaultSim::first_detection`].
 #[derive(Debug)]
-pub struct WordSim<'c, F> {
+pub struct FaultSim<'c, F = Fault> {
     circuit: &'c Circuit,
     graph: &'c SimGraph,
     faults: Vec<F>,
@@ -319,7 +320,7 @@ pub struct WordSim<'c, F> {
     scratch: ConeScratch,
     /// Indices of still-undetected faults, maintained incrementally
     /// (swap-remove on detection). Rebuilt lazily after out-of-band status
-    /// edits ([`WordSim::set_status`] / [`WordSim::reset`]).
+    /// edits ([`FaultSim::set_status`] / [`FaultSim::reset`]).
     live: Vec<u32>,
     live_dirty: bool,
     /// Reused 64-pattern packing buffer (allocated on the first block).
@@ -339,15 +340,16 @@ pub struct WordSim<'c, F> {
     hw_threads: usize,
 }
 
-impl<'c, F: WordFault> WordSim<'c, F> {
+impl<'c, F: WordFault> FaultSim<'c, F> {
     /// Creates a simulator grading `faults` on `circuit`, with the pool
     /// width taken from `BIST_THREADS` / the machine.
-    pub fn new(circuit: &'c Circuit, faults: Vec<F>) -> Self {
+    pub fn new(circuit: &'c Circuit, faults: impl IntoIterator<Item = F>) -> Self {
+        let faults: Vec<F> = faults.into_iter().collect();
         let graph = circuit.sim_graph();
         let n = circuit.num_nodes();
         let len = faults.len();
         let comb_gates = (0..n).filter(|&i| graph.kind(i).is_combinational()).count() as u64;
-        WordSim {
+        FaultSim {
             circuit,
             graph,
             faults,
@@ -384,9 +386,9 @@ impl<'c, F: WordFault> WordSim<'c, F> {
     /// Re-creates a simulator mid-sequence from a carry checkpoint: the
     /// per-fault `statuses` and good-machine `carry` bits recorded after
     /// exactly `patterns_seen` patterns of some sequence (see
-    /// [`WordSim::carry_bits`]). Feeding the remainder of that sequence
+    /// [`FaultSim::carry_bits`]). Feeding the remainder of that sequence
     /// behaves exactly like one simulator that consumed it end to end,
-    /// except that [`WordSim::first_detection`] is only populated for
+    /// except that [`FaultSim::first_detection`] is only populated for
     /// faults detected *after* the resume point (earlier detections carry
     /// a status but no index), and excitation flags restart at the resume
     /// point too.
@@ -397,28 +399,28 @@ impl<'c, F: WordFault> WordSim<'c, F> {
     /// not match the circuit.
     pub fn resume(
         circuit: &'c Circuit,
-        faults: Vec<F>,
+        faults: impl IntoIterator<Item = F>,
         statuses: &[FaultStatus],
         carry: &[bool],
         patterns_seen: u32,
     ) -> Self {
-        assert_eq!(statuses.len(), faults.len(), "status/universe mismatch");
+        let mut sim = FaultSim::new(circuit, faults);
+        assert_eq!(statuses.len(), sim.faults.len(), "status/universe mismatch");
         assert_eq!(carry.len(), circuit.num_nodes(), "carry/circuit mismatch");
-        let mut sim = WordSim::new(circuit, faults);
         sim.status.copy_from_slice(statuses);
         sim.last_bits.copy_from_slice(carry);
         sim.patterns_seen = patterns_seen;
         sim
     }
 
-    /// Sets the pool width for subsequent [`WordSim::simulate`] calls
+    /// Sets the pool width for subsequent [`FaultSim::simulate`] calls
     /// (`0` = automatic: `BIST_THREADS` or the machine width). Grading
     /// results never depend on this knob.
     pub fn set_threads(&mut self, threads: usize) {
         self.pool = Pool::resolve(threads);
     }
 
-    /// Builder form of [`WordSim::set_threads`].
+    /// Builder form of [`FaultSim::set_threads`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.set_threads(threads);
         self
@@ -444,7 +446,7 @@ impl<'c, F: WordFault> WordSim<'c, F> {
         self.status[index]
     }
 
-    /// All statuses, parallel to [`WordSim::faults`].
+    /// All statuses, parallel to [`FaultSim::faults`].
     pub fn statuses(&self) -> &[FaultStatus] {
         &self.status
     }
@@ -468,9 +470,19 @@ impl<'c, F: WordFault> WordSim<'c, F> {
         self.excited.get(index).copied().unwrap_or(false)
     }
 
-    /// Number of faults excited so far (see [`WordSim::excited`]).
+    /// Number of faults excited so far (see [`FaultSim::excited`]).
     pub fn excited_count(&self) -> usize {
         self.excited.iter().filter(|&&e| e).count()
+    }
+
+    /// Excited share of the universe, % — the Iddq coverage of a bridging
+    /// universe; `0.0` for an empty universe or a model without
+    /// [`WordFault::TRACKS_EXCITATION`].
+    pub fn excited_pct(&self) -> f64 {
+        if self.faults.is_empty() {
+            return 0.0;
+        }
+        100.0 * self.excited_count() as f64 / self.faults.len() as f64
     }
 
     /// Number of patterns consumed so far.
@@ -485,9 +497,9 @@ impl<'c, F: WordFault> WordSim<'c, F> {
     }
 
     /// The good-machine node values after the last consumed pattern — the
-    /// two-pattern carry. Together with [`WordSim::statuses`] and
-    /// [`WordSim::patterns_seen`] this is a complete mid-sequence
-    /// checkpoint for [`WordSim::resume`].
+    /// two-pattern carry. Together with [`FaultSim::statuses`] and
+    /// [`FaultSim::patterns_seen`] this is a complete mid-sequence
+    /// checkpoint for [`FaultSim::resume`].
     pub fn carry_bits(&self) -> &[bool] {
         &self.last_bits
     }
@@ -522,6 +534,17 @@ impl<'c, F: WordFault> WordSim<'c, F> {
     /// Coverage summary over the whole universe.
     pub fn report(&self) -> crate::CoverageReport {
         crate::CoverageReport::from_statuses(&self.status)
+    }
+
+    /// The faults that are still open (undetected or aborted), with their
+    /// indices in the universe.
+    pub fn open_faults(&self) -> Vec<(usize, F)> {
+        self.faults
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| self.status[i].is_open())
+            .map(|(i, &f)| (i, f))
+            .collect()
     }
 
     fn simulate_block(&mut self, block: &PatternBlock) -> usize {

@@ -12,7 +12,9 @@
 //! length `p`, report the prefix's transition coverage and the size `d`
 //! of the two-pattern deterministic top-up that closes the gap.
 
-use bist_delay::{DelayAtpgOptions, DelayTestGenerator, TransitionFaultList, TransitionSim};
+use bist_atpg::AtpgOptions;
+use bist_delay::{DelayTestGenerator, TransitionFaultList};
+use bist_faultsim::FaultSim;
 use bist_lfsr::{paper_poly, pseudo_random_patterns};
 
 fn main() {
@@ -35,20 +37,14 @@ fn main() {
         let prefix = pseudo_random_patterns(paper_poly(), width, p);
 
         // coverage of the prefix alone
-        let mut sim = TransitionSim::new(&circuit, faults.clone());
+        let mut sim = FaultSim::new(&circuit, faults.clone());
         sim.simulate(&prefix);
         let prefix_cov = sim.report().coverage_pct();
 
         // deterministic two-pattern top-up for what remains
-        let run = DelayTestGenerator::new(
-            &circuit,
-            faults.clone(),
-            DelayAtpgOptions {
-                prefix,
-                ..DelayAtpgOptions::default()
-            },
-        )
-        .run();
+        let run =
+            DelayTestGenerator::new(&circuit, faults.clone(), AtpgOptions::default(), &prefix)
+                .run();
 
         println!(
             "{:>6}  {:>13.2}%  {:>12}  {:>13.2}%  {:>10}",

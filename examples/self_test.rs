@@ -52,14 +52,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         solution.coverage.coverage_pct()
     );
 
-    // 5. where the random-resistant faults live (COP testability estimate)
-    let testability = Testability::analyze(&circuit);
-    println!("\nfive hardest faults by COP estimate:");
-    for (fault, p_detect) in testability.hardest_faults(&circuit, faults.faults(), 5) {
+    // 5. where the random-resistant sites live (SCOAP testability estimate)
+    let scoap = bist_lint::ScoapAnalysis::analyze(&circuit).summary(&circuit, 5);
+    println!("\nfive most random-resistant nodes by SCOAP:");
+    for node in &scoap.resistance {
         println!(
-            "  {:<40} p(detect/pattern) ≈ {:.2e}",
-            fault.describe(&circuit),
-            p_detect
+            "  {:<12} CC0={:<4} CC1={:<4} CO={:<4} score {}",
+            node.name, node.cc0, node.cc1, node.co, node.score
         );
     }
     Ok(())

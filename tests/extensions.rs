@@ -3,12 +3,10 @@
 //! emission (`bist-hdl`), exercised together with the core mixed-scheme
 //! flow.
 
-use bist_atpg::TestCube;
+use bist_atpg::{AtpgOptions, TestCube};
 use bist_baselines::{CounterPla, LfsromTpg, Reseeding, RomCounter, TestPatternGenerator};
 use bist_core::prelude::*;
-use bist_delay::{
-    serial, DelayAtpgOptions, DelayTestGenerator, TransitionFaultList, TransitionSim,
-};
+use bist_delay::{serial, DelayTestGenerator, TransitionFaultList};
 use bist_hdl::{emit_verilog, emit_verilog_testbench, emit_vhdl, HdlOptions};
 use bist_scan::ScanDesign;
 use proptest::prelude::*;
@@ -109,7 +107,7 @@ fn packed_transition_sim_agrees_with_serial_reference_on_c432() {
 
         let naive = serial::detects(&c, fault, &v1, &v2);
         let single: TransitionFaultList = [fault].into_iter().collect();
-        let mut sim = TransitionSim::new(&c, single);
+        let mut sim = FaultSim::new(&c, single);
         sim.simulate(&[v1.clone(), v2.clone()]);
         assert_eq!(
             naive,
@@ -124,7 +122,7 @@ fn packed_transition_sim_agrees_with_serial_reference_on_c432() {
 fn delay_atpg_pairs_check_out_against_the_reference() {
     let c = bist_netlist::iscas85::circuit("c880").expect("known benchmark");
     let faults = TransitionFaultList::universe(&c);
-    let run = DelayTestGenerator::new(&c, faults, DelayAtpgOptions::default()).run();
+    let run = DelayTestGenerator::new(&c, faults, AtpgOptions::default(), &[]).run();
     assert!(
         run.report.coverage_pct() > 85.0,
         "{:.2}",
@@ -153,20 +151,12 @@ fn mixed_sequence_beats_pure_random_on_transition_faults() {
     let p = 128usize;
 
     let prefix = pseudo_random_patterns(paper_poly(), width, p);
-    let run = DelayTestGenerator::new(
-        &c,
-        faults.clone(),
-        DelayAtpgOptions {
-            prefix: prefix.clone(),
-            ..DelayAtpgOptions::default()
-        },
-    )
-    .run();
+    let run = DelayTestGenerator::new(&c, faults.clone(), AtpgOptions::default(), &prefix).run();
     let mixed_cov = run.report.coverage_pct();
     let total = p + run.num_patterns();
 
     let pure = pseudo_random_patterns(paper_poly(), width, total);
-    let mut sim = TransitionSim::new(&c, faults);
+    let mut sim = FaultSim::new(&c, faults);
     sim.simulate(&pure);
     let pure_cov = sim.report().coverage_pct();
 
