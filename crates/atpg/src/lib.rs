@@ -50,6 +50,6 @@ pub use cache::CubeCache;
 pub use cube::{ParseTestCubeError, TestCube};
 pub use engine::{compact, AtpgOptions, AtpgRun, TestGenerator, TestUnit};
 pub use podem::{
-    justify, justify_cube, podem, podem_cube, podem_cube_counted, podem_probe, CubeOutcome,
-    PodemOptions, PodemOutcome, PodemProbe, SearchCounters,
+    justify, justify_cube, podem, podem_cube, podem_cube_counted, podem_probe, podem_probe_every,
+    CubeOutcome, PodemOptions, PodemOutcome, PodemProbe, SearchCounters,
 };

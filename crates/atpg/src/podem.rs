@@ -140,7 +140,9 @@ pub struct SearchCounters {
     pub decisions: u64,
     /// Backtracks, the one that hits the limit included.
     pub backtracks: u64,
-    /// Gate and input evaluations made by implication.
+    /// Gate and input evaluations made by implication. A search implies
+    /// only the fan-in closure of what its goal reads, so nodes outside
+    /// that scope are never evaluated or counted.
     pub evaluations: u64,
     /// Node values restored from the implication trail by backtracking.
     pub trail_restores: u64,
@@ -203,12 +205,23 @@ pub struct PodemProbe {
 /// decision pin in `tests/podem_decisions.rs` asserts it.
 #[doc(hidden)]
 pub fn podem_probe(circuit: &Circuit) -> PodemProbe {
+    podem_probe_every(circuit, 1)
+}
+
+/// [`podem_probe`] over every `step`-th collapsed representative (the
+/// first, the `step + 1`-th, ...): a sample for pins that must run fast.
+///
+/// # Panics
+///
+/// Panics if `step` is 0.
+#[doc(hidden)]
+pub fn podem_probe_every(circuit: &Circuit, step: usize) -> PodemProbe {
     let universe = CollapsedUniverse::build(circuit);
     let mut probe = PodemProbe {
         digest: 0xCBF2_9CE4_8422_2325,
         ..PodemProbe::default()
     };
-    for fault in universe.representatives().iter() {
+    for fault in universe.representatives().iter().step_by(step) {
         let Fault::StuckAt { site, pin, value } = *fault else {
             continue;
         };
@@ -371,33 +384,25 @@ impl<'c> Search<'c> {
             .copied()
             .filter(|&id| graph.is_output(id as usize))
             .collect();
-        let mut sim = FiveValueSim::new(circuit, fault);
-        if let Goal::Justify(reqs) = &goal {
-            // A justification search only ever reads the requirement
-            // nodes, the fan-in chains its backtrace walks down from them,
-            // and the raw input assignments — all inside the requirements'
-            // fan-in cone. Scoping implication to that cone keeps every
-            // value the search can observe bit-identical (the mask is
-            // fan-in closed) while skipping the rest of each input's
-            // fan-out cone, which on deep circuits is most of the netlist.
-            let mut in_scope = vec![false; n];
-            let mut stack: Vec<usize> = Vec::new();
-            for &(node, _) in reqs {
-                if !in_scope[node.index()] {
-                    in_scope[node.index()] = true;
-                    stack.push(node.index());
-                }
+        // A search reads only the fan-in closure of what it starts from:
+        // a detect search reads the fault site and its fan-ins
+        // (activation), the fan-out cone and the fan-ins of cone gates
+        // (D-frontier, X-path, cone outputs) and the fan-in chains its
+        // backtrace walks down from those; a justification search reads
+        // the requirement nodes and the chains below them. The cube reads
+        // the input assignment, not node values. Implying that closure
+        // alone keeps every value the search reads bit-identical (it is
+        // fan-in closed) and skips the rest of each input's fan-out cone.
+        let sim = match &goal {
+            Goal::Detect(_) => FiveValueSim::scoped(
+                circuit,
+                fault,
+                cone.iter().map(|&id| NodeId::from_index(id as usize)),
+            ),
+            Goal::Justify(reqs) => {
+                FiveValueSim::scoped(circuit, None, reqs.iter().map(|&(node, _)| node))
             }
-            while let Some(id) = stack.pop() {
-                for &f in graph.fanin(id) {
-                    if !in_scope[f as usize] {
-                        in_scope[f as usize] = true;
-                        stack.push(f as usize);
-                    }
-                }
-            }
-            sim.restrict_scope(in_scope);
-        }
+        };
         Search {
             graph,
             sim,
@@ -455,8 +460,7 @@ impl<'c> Search<'c> {
     }
 
     /// True if some frontier gate still has an X-path (through the cone)
-    /// to a primary output. Cone-restricted version of
-    /// [`FiveValueSim::x_path_to_output_exists`].
+    /// to a primary output.
     fn x_path_exists(&mut self) -> bool {
         let g = self.graph;
         for &id in &self.cone {

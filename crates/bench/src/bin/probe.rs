@@ -11,11 +11,14 @@
 //! the wall time per outcome, the summed deterministic search counters
 //! (decisions, backtracks, gate evaluations, trail restores) and an
 //! outcome digest: FNV-1a over every target's outcome and pre-fill cube.
-//! A search-kernel change that keeps every decision leaves the split, the
+//! Each search implies only the fan-in closure of its fault's fan-out
+//! cone, so the evaluations count only nodes inside that scope. A
+//! search-kernel change that keeps every decision leaves the split, the
 //! digest, the decisions and the backtracks unchanged; the evaluations
 //! and the seconds are what it may move. The figures come from
 //! `bist_atpg::podem_probe`, which `crates/atpg/tests/podem_decisions.rs`
-//! pins for c432.
+//! pins for c432 (and, through `podem_probe_every`, for every 8th c2670
+//! representative).
 
 use bist_atpg::podem_probe;
 use bist_bench::{banner, ExperimentArgs};

@@ -384,6 +384,10 @@ fn warm_lint_rerun_is_served_from_the_cache() {
     let cold = bist(args);
     assert!(cold.status.success(), "c432 lints clean");
     assert!(stderr(&cold).contains("cache: hits=0 misses=1 stores=1"));
+    assert!(
+        stdout(&cold).contains("\"BL013\""),
+        "c432's report carries the BL013 testability summary"
+    );
 
     let warm = bist(args);
     assert!(warm.status.success());

@@ -235,10 +235,11 @@ fn a_full_queue_rejects_with_a_retry_hint_and_shutdown_drains_in_flight_work() {
         ..ServeConfig::default()
     });
 
-    // occupy the single worker with a long job …
+    // occupy the single worker with a long job (about 0.7 s in release;
+    // a c432 sweep can finish within the pause below) …
     let mut busy = TestClient::connect(addr);
     busy.send(&Request::Submit {
-        spec: Box::new(JobSpec::sweep(CircuitSource::iscas85("c432"), [0, 40])),
+        spec: Box::new(JobSpec::sweep(CircuitSource::iscas85("c1355"), [0])),
     });
     let Response::Accepted { .. } = busy.next() else {
         panic!("first submission admitted");

@@ -536,17 +536,6 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
         crate::CoverageReport::from_statuses(&self.status)
     }
 
-    /// The faults that are still open (undetected or aborted), with their
-    /// indices in the universe.
-    pub fn open_faults(&self) -> Vec<(usize, F)> {
-        self.faults
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.status[i].is_open())
-            .map(|(i, &f)| (i, f))
-            .collect()
-    }
-
     fn simulate_block(&mut self, block: &PatternBlock) -> usize {
         let valid = block.valid_mask();
         self.good_simulate(block);

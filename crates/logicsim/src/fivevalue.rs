@@ -1,6 +1,6 @@
 use std::fmt;
 
-use bist_netlist::{Circuit, GateKind, LevelQueue, NodeId, SimGraph};
+use bist_netlist::{Circuit, GateKind, NodeId, SimGraph};
 
 // Plane code of a `V5`: one known-0 and one known-1 bit per machine. A
 // plane with neither bit set is unknown; no valid code sets both bits of
@@ -276,12 +276,79 @@ pub struct InjectedFault {
     pub stuck: bool,
 }
 
+/// The nodes one [`FiveValueSim`] implies, compiled for its event wave:
+/// the fan-in closure of the simulator's roots in topological order, and
+/// each in-scope node's in-scope combinational consumers as positions in
+/// that order (its *local* positions).
+#[derive(Debug)]
+struct Scope {
+    /// In-scope nodes in topological order.
+    nodes: Vec<u32>,
+    /// Local position of every node (`u32::MAX` outside the scope).
+    local: Vec<u32>,
+    /// CSR offsets of `fanout`, one row per local position.
+    fanout_off: Vec<u32>,
+    /// In-scope combinational consumers, as local positions.
+    fanout: Vec<u32>,
+}
+
+impl Scope {
+    /// Compiles the fan-in closure of `roots`: the roots and every node
+    /// on a fan-in path into one of them through combinational gates. A
+    /// flip-flop evaluates to `X` without reading its D input, so the
+    /// closure stops there.
+    fn build(graph: &SimGraph, roots: impl IntoIterator<Item = NodeId>) -> Self {
+        const OUT: u32 = u32::MAX;
+        let mut local = vec![OUT; graph.num_nodes()];
+        for root in roots {
+            local[root.index()] = 0;
+        }
+        // a gate's consumers come after it in topological order, so a
+        // reverse sweep reaches each gate after every in-scope consumer
+        // has marked it
+        for &id in graph.topo().iter().rev() {
+            let id = id as usize;
+            if local[id] != OUT && graph.kind(id).is_combinational() {
+                for &f in graph.fanin(id) {
+                    local[f as usize] = 0;
+                }
+            }
+        }
+        let mut nodes = Vec::new();
+        for &id in graph.topo() {
+            if local[id as usize] != OUT {
+                local[id as usize] = nodes.len() as u32;
+                nodes.push(id);
+            }
+        }
+        let mut fanout_off = Vec::with_capacity(nodes.len() + 1);
+        let mut fanout = Vec::new();
+        fanout_off.push(0);
+        for &id in &nodes {
+            fanout.extend(graph.fanout(id as usize).iter().filter_map(|&s| {
+                let pos = local[s as usize];
+                (pos != OUT && graph.kind(s as usize).is_combinational()).then_some(pos)
+            }));
+            fanout_off.push(fanout.len() as u32);
+        }
+        Scope {
+            nodes,
+            local,
+            fanout_off,
+            fanout,
+        }
+    }
+}
+
 /// Single-pattern five-valued simulator with stuck-at fault injection — the
 /// implication engine underneath the PODEM ATPG.
 ///
 /// Assign primary inputs (possibly `X`) with [`FiveValueSim::set_input`],
-/// call [`FiveValueSim::imply`], then inspect node values, the D-frontier
-/// and output detection.
+/// call [`FiveValueSim::imply`], then read node values with
+/// [`FiveValueSim::value`].
+///
+/// A simulator built with [`FiveValueSim::scoped`] implies only the fan-in
+/// closure of its roots; [`FiveValueSim::new`] is the scope of every node.
 ///
 /// Incremental implication ([`FiveValueSim::imply_from_input`]) records
 /// every node value it overwrites on an undo trail, so a search can take
@@ -320,22 +387,63 @@ pub struct FiveValueSim<'c> {
     /// Undo trail: `(node, value before)` for every value change made by
     /// incremental implication since the last full [`FiveValueSim::imply`].
     trail: Vec<(u32, V5)>,
-    /// Reusable levelized implication queue (see `imply_from_input`) —
-    /// no allocations once its buckets are warm.
-    queue: LevelQueue,
-    /// Optional propagation scope (see [`FiveValueSim::restrict_scope`]):
-    /// implication maintains values only for marked nodes.
-    scope: Option<Vec<bool>>,
+    /// The nodes implication maintains.
+    scope: Scope,
+    /// Pending local positions of the running wave, one bit each; all
+    /// clear between waves.
+    dirty: Vec<u64>,
     /// Node evaluations performed so far (see
     /// [`FiveValueSim::evaluations`]).
     evaluations: u64,
 }
 
 impl<'c> FiveValueSim<'c> {
-    /// Creates a simulator over `circuit`, optionally injecting `fault`.
-    /// All primary inputs start at `X`.
+    /// Creates a simulator over all of `circuit`, optionally injecting
+    /// `fault`. All primary inputs start at `X`.
     pub fn new(circuit: &'c Circuit, fault: Option<InjectedFault>) -> Self {
+        Self::scoped(circuit, fault, circuit.topo_order().iter().copied())
+    }
+
+    /// Creates a simulator that implies only the fan-in closure of
+    /// `roots` — the roots and every node on a fan-in path into one of
+    /// them through combinational gates — and leaves every other node at
+    /// `X`.
+    ///
+    /// The closure is fan-in closed, so each in-scope node sees exactly
+    /// the fan-in values a full implication computes, and its value is
+    /// bit-identical to the unscoped simulator's. A caller that reads only
+    /// in-scope nodes (plus [`FiveValueSim::input`], which reads the
+    /// assignment) cannot tell the two apart; the work it saves is the
+    /// rest of each input's fan-out cone. PODEM roots a detect search at
+    /// its fault's fan-out cone and a justification search at its
+    /// requirement nodes.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use bist_logicsim::{FiveValueSim, V5};
+    ///
+    /// let c17 = bist_netlist::iscas85::c17();
+    /// let (g22, g23) = (c17.find("G22").unwrap(), c17.find("G23").unwrap());
+    /// let mut sim = FiveValueSim::scoped(&c17, None, [g22]);
+    /// assert!(sim.in_scope(g22) && !sim.in_scope(g23));
+    /// sim.set_input(0, Some(false)); // G1 = 0 forces G10 = 1 ...
+    /// sim.set_input(2, Some(true)); // ... and G3 = 1 with G6 = 0 ...
+    /// sim.set_input(3, Some(false)); // ... makes G11 = 1
+    /// sim.imply();
+    /// assert_eq!(sim.value(g22), V5::X); // G2 decides G16
+    /// sim.set_input(1, Some(true));
+    /// sim.imply_from_input(1);
+    /// assert_eq!(sim.value(g22), V5::One);
+    /// assert_eq!(sim.value(g23), V5::X); // never implied
+    /// ```
+    pub fn scoped(
+        circuit: &'c Circuit,
+        fault: Option<InjectedFault>,
+        roots: impl IntoIterator<Item = NodeId>,
+    ) -> Self {
         let graph = circuit.sim_graph();
+        let scope = Scope::build(graph, roots);
         FiveValueSim {
             circuit,
             graph,
@@ -345,49 +453,10 @@ impl<'c> FiveValueSim<'c> {
             pi_values: vec![None; circuit.inputs().len()],
             values: vec![V5::X; circuit.num_nodes()],
             trail: Vec::new(),
-            queue: LevelQueue::new(graph),
-            scope: None,
+            dirty: vec![0; scope.nodes.len().div_ceil(64)],
+            scope,
             evaluations: 0,
         }
-    }
-
-    /// Restricts implication to the nodes marked in `in_scope`: [`imply`]
-    /// and [`imply_from_input`] skip everything else, which keeps stale
-    /// values (`X` unless previously written) outside the scope.
-    ///
-    /// The mask must be *fan-in closed* — every fan-in of an in-scope node
-    /// is in scope — so the kept region is self-contained: each in-scope
-    /// node sees exactly the fan-in values a full implication would, and
-    /// its value is therefore bit-identical to the unscoped simulator's. A
-    /// caller that reads only in-scope nodes (plus [`FiveValueSim::input`],
-    /// which bypasses node values) cannot observe the difference; the
-    /// whole-circuit inspectors ([`FiveValueSim::d_frontier`],
-    /// [`FiveValueSim::fault_at_output`],
-    /// [`FiveValueSim::x_path_to_output_exists`]) read out-of-scope nodes
-    /// and are *not* meaningful on a scoped simulator.
-    ///
-    /// This is the workhorse behind justification-goal PODEM searches: a
-    /// goal over a handful of nodes only ever reads their fan-in cone, and
-    /// skipping the rest of each input's fan-out cone makes every decision
-    /// step proportionally cheaper without perturbing the search.
-    ///
-    /// [`imply`]: FiveValueSim::imply
-    /// [`imply_from_input`]: FiveValueSim::imply_from_input
-    pub fn restrict_scope(&mut self, in_scope: Vec<bool>) {
-        debug_assert_eq!(in_scope.len(), self.circuit.num_nodes());
-        debug_assert!(
-            self.circuit.topo_order().iter().all(|&id| {
-                !in_scope[id.index()]
-                    || self
-                        .circuit
-                        .node(id)
-                        .fanin()
-                        .iter()
-                        .all(|f| in_scope[f.index()])
-            }),
-            "propagation scope must be fan-in closed"
-        );
-        self.scope = Some(in_scope);
     }
 
     /// The circuit this simulator is bound to.
@@ -395,8 +464,14 @@ impl<'c> FiveValueSim<'c> {
         self.circuit
     }
 
-    /// Node evaluations performed by implication since construction —
-    /// a deterministic work counter.
+    /// True if implication maintains `id` (see [`FiveValueSim::scoped`]).
+    pub fn in_scope(&self, id: NodeId) -> bool {
+        self.scope.local[id.index()] != u32::MAX
+    }
+
+    /// Node evaluations performed by implication since construction — a
+    /// deterministic work counter. Only in-scope nodes are evaluated, so
+    /// a scoped simulator counts only those.
     pub fn evaluations(&self) -> u64 {
         self.evaluations
     }
@@ -415,11 +490,6 @@ impl<'c> FiveValueSim<'c> {
     /// Current assignment of primary input `index`.
     pub fn input(&self, index: usize) -> Option<bool> {
         self.pi_values[index]
-    }
-
-    /// Clears all primary input assignments back to `X`.
-    pub fn reset_inputs(&mut self) {
-        self.pi_values.fill(None);
     }
 
     /// Evaluates one node under the current values and injected fault.
@@ -454,60 +524,65 @@ impl<'c> FiveValueSim<'c> {
         }
     }
 
-    /// Performs full forward implication: re-evaluates every node in
-    /// topological order under the current input assignment and injected
-    /// fault. Clears the undo trail.
+    /// Performs full forward implication: re-evaluates every in-scope node
+    /// in topological order under the current input assignment and
+    /// injected fault. Clears the undo trail.
     pub fn imply(&mut self) {
-        let g = self.graph;
         self.trail.clear();
-        for &id in g.topo() {
-            let id = id as usize;
-            if self.scope.as_ref().is_none_or(|m| m[id]) {
-                self.values[id] = self.eval_node(id);
-                self.evaluations += 1;
-            }
+        for pos in 0..self.scope.nodes.len() {
+            let id = self.scope.nodes[pos] as usize;
+            self.values[id] = self.eval_node(id);
         }
+        self.evaluations += self.scope.nodes.len() as u64;
     }
 
-    /// Incremental implication: re-evaluates only the fan-out cone of the
-    /// primary input at position `index`, assuming every other node is
-    /// already consistent. Equivalent to (and property-tested against) a
-    /// full [`FiveValueSim::imply`] after a single input change — but
-    /// orders of magnitude cheaper on large circuits, which is what makes
-    /// PODEM fast. Every value it overwrites goes on the undo trail.
+    /// Incremental implication: re-evaluates only the in-scope fan-out
+    /// cone of the primary input at position `index`, assuming every other
+    /// node is already consistent. Equivalent to (and property-tested
+    /// against) a full [`FiveValueSim::imply`] after a single input change
+    /// — but orders of magnitude cheaper on large circuits, which is what
+    /// makes PODEM fast. Every value it overwrites goes on the undo trail.
     ///
-    /// The walk drains a reusable [`LevelQueue`] (the same structure the
-    /// PPSFP cone propagation uses): pending nodes bucketed by logic
-    /// level, deduplicated by epoch stamp and drained in ascending level
-    /// order, so every touched node is re-evaluated exactly once, after
-    /// all of its fan-ins settled. No allocations once the buckets are
-    /// warm.
+    /// The walk is an event wave over local positions: a changed node
+    /// marks its consumers in a bitset, and the wave pops the lowest
+    /// pending position until none is left. Consumers sit after their
+    /// fan-ins in topological order, so every mark lands above the
+    /// position being popped, and each reached node is evaluated once,
+    /// after all of its fan-ins settled. No allocations.
     pub fn imply_from_input(&mut self, index: usize) {
-        let scope = self.scope.take();
-        self.imply_from_input_masked(index, scope.as_deref());
-        self.scope = scope;
+        let source = self.graph.inputs()[index] as usize;
+        let seed = self.scope.local[source];
+        if seed != u32::MAX {
+            self.wave(seed as usize);
+        }
     }
 
-    fn imply_from_input_masked(&mut self, index: usize, mask: Option<&[bool]>) {
-        let g = self.graph;
-        let source = g.inputs()[index] as usize;
-        if mask.is_some_and(|m| !m[source]) {
-            return;
-        }
-        self.evaluations += 1;
-        if !self.update(source) {
-            return;
-        }
-        self.queue.begin(g.level(source));
-        self.enqueue_fanout(source, mask);
-        while let Some(bucket) = self.queue.take_bucket() {
-            self.evaluations += bucket.len() as u64;
-            for &id in &bucket {
-                if self.update(id as usize) {
-                    self.enqueue_fanout(id as usize, mask);
+    /// Drains the event wave started at local position `seed`.
+    fn wave(&mut self, seed: usize) {
+        let mut word = seed / 64;
+        let mut last = word;
+        self.dirty[word] |= 1 << (seed % 64);
+        loop {
+            let bits = self.dirty[word];
+            if bits == 0 {
+                if word == last {
+                    return;
+                }
+                word += 1;
+                continue;
+            }
+            self.dirty[word] = bits & (bits - 1);
+            let pos = word * 64 + bits.trailing_zeros() as usize;
+            self.evaluations += 1;
+            if self.update(self.scope.nodes[pos] as usize) {
+                let row =
+                    self.scope.fanout_off[pos] as usize..self.scope.fanout_off[pos + 1] as usize;
+                for k in row {
+                    let consumer = self.scope.fanout[k] as usize;
+                    self.dirty[consumer / 64] |= 1 << (consumer % 64);
+                    last = last.max(consumer / 64);
                 }
             }
-            self.queue.restore(bucket);
         }
     }
 
@@ -523,18 +598,6 @@ impl<'c> FiveValueSim<'c> {
         self.trail.push((id as u32, old));
         self.values[id] = v;
         true
-    }
-
-    /// Queues the in-scope combinational fan-out of `id`.
-    #[inline]
-    fn enqueue_fanout(&mut self, id: usize, mask: Option<&[bool]>) {
-        let g = self.graph;
-        for &s in g.fanout(id) {
-            let si = s as usize;
-            if g.kind(si).is_combinational() && mask.is_none_or(|m| m[si]) {
-                self.queue.push(s, g.level(si));
-            }
-        }
     }
 
     /// The current length of the undo trail: pass it to
@@ -575,67 +638,10 @@ impl<'c> FiveValueSim<'c> {
         }
     }
 
-    /// The composite value of `id` after the last [`FiveValueSim::imply`].
+    /// The composite value of `id` after the last implication (`X` outside
+    /// the scope).
     pub fn value(&self, id: NodeId) -> V5 {
         self.values[id.index()]
-    }
-
-    /// Gates with a fault effect (`D`/`D̄`) on some fan-in and an unknown
-    /// output — the frontier PODEM pushes towards the outputs.
-    pub fn d_frontier(&self) -> Vec<NodeId> {
-        let mut frontier = Vec::new();
-        for &id in self.circuit.topo_order() {
-            let node = self.circuit.node(id);
-            if !node.kind().is_combinational() {
-                continue;
-            }
-            if !self.values[id.index()].is_unknown() {
-                continue;
-            }
-            if node
-                .fanin()
-                .iter()
-                .any(|f| self.values[f.index()].is_fault_effect())
-            {
-                frontier.push(id);
-            }
-        }
-        frontier
-    }
-
-    /// True if a fault effect has reached any primary output.
-    pub fn fault_at_output(&self) -> bool {
-        self.circuit
-            .outputs()
-            .iter()
-            .any(|o| self.values[o.index()].is_fault_effect())
-    }
-
-    /// True if some node of the D-frontier still has an X-path to a primary
-    /// output (a path of unknown-valued nodes). Without one, the search is
-    /// hopeless and PODEM backtracks.
-    pub fn x_path_to_output_exists(&self) -> bool {
-        let mut reach = vec![false; self.circuit.num_nodes()];
-        // seed with unknown outputs
-        for &o in self.circuit.outputs() {
-            if self.values[o.index()].is_unknown() {
-                reach[o.index()] = true;
-            }
-        }
-        // propagate reachability backwards through unknown nodes
-        for &id in self.circuit.topo_order().iter().rev() {
-            if !reach[id.index()] {
-                continue;
-            }
-            for &f in self.circuit.node(id).fanin() {
-                if self.values[f.index()].is_unknown() {
-                    reach[f.index()] = true;
-                }
-            }
-        }
-        self.d_frontier()
-            .iter()
-            .any(|g| reach[g.index()] || self.circuit.fanout(*g).iter().any(|s| reach[s.index()]))
     }
 }
 
@@ -859,7 +865,9 @@ mod tests {
         sim.set_input(0, Some(false));
         sim.imply();
         assert_eq!(sim.value(g10), V5::D);
-        assert!(!sim.d_frontier().is_empty());
+        // G22 = NAND(G10, G16) sees the D with G16 unknown: a D-frontier gate
+        let g22 = c17.find("G22").unwrap();
+        assert_eq!(sim.value(g22), V5::X);
     }
 
     #[test]
@@ -906,7 +914,8 @@ mod tests {
         sim.set_input(0, Some(true));
         sim.set_input(2, Some(true));
         sim.imply();
-        assert!(sim.fault_at_output());
+        assert!(c17.is_output(g22));
+        assert_eq!(sim.value(g22), V5::D);
     }
 
     #[test]
@@ -923,6 +932,46 @@ mod tests {
         );
         sim.set_input(0, Some(false)); // activates fault: G10 = D
         sim.imply();
-        assert!(sim.x_path_to_output_exists());
+        // the D-frontier gate G22 = NAND(G10, G16) is itself an unknown
+        // output: an X-path
+        let g22 = c17.find("G22").unwrap();
+        assert!(c17.is_output(g22));
+        assert_eq!(sim.value(g22), V5::X);
+        // G2=1, G3=0 make G11=1 and G16=0, which blocks G22 at 1
+        sim.set_input(1, Some(true));
+        sim.set_input(2, Some(false));
+        sim.imply();
+        assert_eq!(sim.value(g10), V5::D);
+        assert_eq!(sim.value(g22), V5::One);
+    }
+
+    #[test]
+    fn scope_is_the_fan_in_closure_of_its_roots() {
+        let c17 = bist_netlist::iscas85::c17();
+        let node = |name: &str| c17.find(name).unwrap();
+        let full = FiveValueSim::new(&c17, None);
+        assert!((0..c17.num_nodes()).all(|i| full.in_scope(NodeId::from_index(i))));
+        let sim = FiveValueSim::scoped(&c17, None, [node("G16"), node("G10")]);
+        let mut scope: Vec<&str> = (0..c17.num_nodes())
+            .map(NodeId::from_index)
+            .filter(|&id| sim.in_scope(id))
+            .map(|id| c17.node(id).name())
+            .collect();
+        scope.sort_unstable();
+        assert_eq!(scope, ["G1", "G10", "G11", "G16", "G2", "G3", "G6"]);
+        // a scoped search implies fewer nodes for the same values
+        let mut scoped = FiveValueSim::scoped(&c17, None, [node("G22")]);
+        let mut full = FiveValueSim::new(&c17, None);
+        for sim in [&mut scoped, &mut full] {
+            for i in 0..5 {
+                sim.set_input(i, Some(i % 2 == 0));
+            }
+            sim.imply();
+            sim.set_input(1, Some(false));
+            sim.imply_from_input(1);
+        }
+        assert_eq!(scoped.value(node("G22")), full.value(node("G22")));
+        assert_eq!(scoped.value(node("G23")), V5::X);
+        assert!(scoped.evaluations() < full.evaluations());
     }
 }

@@ -7,7 +7,8 @@
 //!   [`Circuit`](bist_netlist::Circuit). This is the workhorse under the
 //!   PPSFP fault simulator (`bist-faultsim`).
 //! * [`FiveValueSim`] — single-pattern five-valued (0, 1, X, D, D̄)
-//!   simulation with fault injection, the engine under the PODEM ATPG
+//!   simulation with fault injection, scoped to the fan-in closure of the
+//!   nodes its caller reads: the engine under the PODEM ATPG
 //!   (`bist-atpg`).
 //! * [`SeqSim`] — cycle-accurate sequential simulation of netlists
 //!   containing D flip-flops, used to *replay* synthesized LFSROM/mixed

@@ -273,8 +273,7 @@ impl SimGraph {
 /// pending node indices per logic level, epoch-stamped membership dedup,
 /// drained in strictly ascending level order.
 ///
-/// This is the scheduling structure shared by the event-driven cone walks
-/// (PPSFP fault propagation, the ATPG's incremental implication): because
+/// This is the scheduling structure of PPSFP fault propagation: because
 /// every fan-in of a node sits at a strictly lower level, draining level
 /// by level evaluates each reached node exactly once, after all of its
 /// producers are final — the same values as any other topological order,

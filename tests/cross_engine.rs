@@ -171,9 +171,11 @@ fn incremental_imply_equals_full_imply() {
 
     // PODEM's use of the trail: decide (imply one more input), flip
     // (restore the top decision's mark, imply the other value) and undo
-    // (restore the mark, unassign) must leave every node as a fresh full
-    // implication of the remaining assignment computes it
-    decide_flip_undo_equals_full_imply(&c, fault, 4);
+    // (restore the mark, unassign) must leave every in-scope node as a
+    // fresh full implication of the remaining assignment computes it. A
+    // detect search is scoped to the fan-in closure of its fault's
+    // fan-out cone, a justification search to that of its requirements.
+    decide_flip_undo_equals_full_imply(detect_scope(&c, fault), 4);
     let c499 = iscas85::circuit("c499").unwrap();
     let xor = c499
         .topo_order()
@@ -189,26 +191,85 @@ fn incremental_imply_equals_full_imply() {
         pin: Some(1),
         stuck: true,
     };
-    decide_flip_undo_equals_full_imply(&c499, pin_fault, 5);
+    decide_flip_undo_equals_full_imply(detect_scope(&c499, pin_fault), 5);
+
+    // an internal c2670 fault whose scope is well under the circuit: the
+    // first gate whose detect scope holds 10-30 % of the nodes
+    let c2670 = iscas85::circuit("c2670").unwrap();
+    let sim = c2670
+        .topo_order()
+        .iter()
+        .filter(|&&id| c2670.node(id).kind().is_combinational())
+        .map(|&site| {
+            let fault = InjectedFault {
+                site,
+                pin: None,
+                stuck: false,
+            };
+            detect_scope(&c2670, fault)
+        })
+        .find(|sim| (10..=30).contains(&(100 * scope_size(sim) / c2670.num_nodes())))
+        .expect("c2670 has small detect scopes");
+    decide_flip_undo_equals_full_imply(sim, 6);
+
+    // a justification scope: two c432 outputs, no fault
+    let reqs = [c.outputs()[1], c.outputs()[4]];
+    decide_flip_undo_equals_full_imply(FiveValueSim::scoped(&c, None, reqs), 7);
 }
 
-/// Random decide / flip / undo sequences over the undo trail, checked
-/// node by node against a fresh full `imply()` after every step.
-fn decide_flip_undo_equals_full_imply(c: &Circuit, fault: bist_logicsim::InjectedFault, seed: u64) {
+/// The simulator of a PODEM detect search for `fault`: scoped to the fan-in
+/// closure of the fault's fan-out cone.
+fn detect_scope(
+    c: &Circuit,
+    fault: bist_logicsim::InjectedFault,
+) -> bist_logicsim::FiveValueSim<'_> {
+    bist_logicsim::FiveValueSim::scoped(c, Some(fault), c.fanout_cone(fault.site))
+}
+
+/// Number of nodes `sim` implies.
+fn scope_size(sim: &bist_logicsim::FiveValueSim<'_>) -> usize {
+    let c = sim.circuit();
+    (0..c.num_nodes())
+        .filter(|&i| sim.in_scope(bist_netlist::NodeId::from_index(i)))
+        .count()
+}
+
+/// Random decide / flip / undo sequences over the undo trail of `sim`,
+/// choosing among the inputs in its scope. The scope must be fan-in closed
+/// and smaller than the circuit; after every step each in-scope node is
+/// checked against a fresh unscoped full `imply()`.
+fn decide_flip_undo_equals_full_imply(mut sim: bist_logicsim::FiveValueSim<'_>, seed: u64) {
     use bist_logicsim::FiveValueSim;
+    use bist_netlist::NodeId;
     use rand::Rng;
+    let c = sim.circuit();
+    let fault = sim.fault();
+    for idx in 0..c.num_nodes() {
+        let id = NodeId::from_index(idx);
+        if sim.in_scope(id) && c.node(id).kind().is_combinational() {
+            for &f in c.node(id).fanin() {
+                assert!(sim.in_scope(f), "{}: scope not fan-in closed", c.name());
+            }
+        }
+    }
+    assert!(
+        scope_size(&sim) < c.num_nodes(),
+        "{}: a proper scope",
+        c.name()
+    );
+    let inputs: Vec<usize> = (0..c.inputs().len())
+        .filter(|&i| sim.in_scope(c.inputs()[i]))
+        .collect();
     let mut rng = StdRng::seed_from_u64(seed);
-    let width = c.inputs().len();
-    let mut sim = FiveValueSim::new(c, Some(fault));
     sim.imply();
     // (input, value, trail mark before the decision)
     let mut stack: Vec<(usize, bool, usize)> = Vec::new();
-    let mut assigned: Vec<Option<bool>> = vec![None; width];
+    let mut assigned: Vec<Option<bool>> = vec![None; c.inputs().len()];
     let mut ops = [0usize; 3];
     for step in 0..600 {
         let op = match rng.gen_range(0..10) {
             _ if stack.is_empty() => 0,
-            _ if stack.len() == width => 2,
+            _ if stack.len() == inputs.len() => 2,
             0..=4 => 0,
             5..=7 => 1,
             _ => 2,
@@ -216,7 +277,11 @@ fn decide_flip_undo_equals_full_imply(c: &Circuit, fault: bist_logicsim::Injecte
         ops[op] += 1;
         match op {
             0 => {
-                let free: Vec<usize> = (0..width).filter(|&i| assigned[i].is_none()).collect();
+                let free: Vec<usize> = inputs
+                    .iter()
+                    .copied()
+                    .filter(|&i| assigned[i].is_none())
+                    .collect();
                 let pi = free[rng.gen_range(0..free.len())];
                 let value = rng.gen::<bool>();
                 stack.push((pi, value, sim.trail_mark()));
@@ -239,19 +304,21 @@ fn decide_flip_undo_equals_full_imply(c: &Circuit, fault: bist_logicsim::Injecte
                 assigned[pi] = None;
             }
         }
-        let mut reference = FiveValueSim::new(c, Some(fault));
+        let mut reference = FiveValueSim::new(c, fault);
         for (pi, &value) in assigned.iter().enumerate() {
             reference.set_input(pi, value);
         }
         reference.imply();
         for idx in 0..c.num_nodes() {
-            let id = bist_netlist::NodeId::from_index(idx);
-            assert_eq!(
-                sim.value(id),
-                reference.value(id),
-                "{}: step {step} (op {op}): node {id} diverged",
-                c.name()
-            );
+            let id = NodeId::from_index(idx);
+            if sim.in_scope(id) {
+                assert_eq!(
+                    sim.value(id),
+                    reference.value(id),
+                    "{}: step {step} (op {op}): node {id} diverged",
+                    c.name()
+                );
+            }
         }
     }
     assert!(
