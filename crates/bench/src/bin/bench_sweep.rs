@@ -330,7 +330,6 @@ fn render_json(prefixes: &[usize], threads: usize, results: &[CircuitResult]) ->
              \"patterns_simulated\": {},\n      \"patterns_resimulated\": {},\n      \
              \"atpg_runs\": {},\n      \"atpg_cache_hits\": {},\n      \
              \"atpg_frontier_hits\": {},\n      \"podem_cache_hits\": {},\n      \
-             \"snapshots_taken\": {},\n      \"snapshots_skipped\": {},\n      \
              \"points\": [{}]\n    }}",
             r.name,
             r.session_s,
@@ -349,8 +348,6 @@ fn render_json(prefixes: &[usize], threads: usize, results: &[CircuitResult]) ->
             r.stats.atpg_cache_hits + r.stats.podem_cache_hits,
             r.stats.atpg_cache_hits,
             r.stats.podem_cache_hits,
-            r.stats.snapshots_taken,
-            r.stats.snapshots_skipped,
             points
         );
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });

@@ -211,8 +211,6 @@ fn stats_json(s: &SessionStats) -> Json {
     o.push("atpg_runs", Json::uint(s.atpg_runs));
     o.push("atpg_cache_hits", Json::uint(s.atpg_cache_hits));
     o.push("podem_cache_hits", Json::uint(s.podem_cache_hits));
-    o.push("snapshots_taken", Json::uint(s.snapshots_taken));
-    o.push("snapshots_skipped", Json::uint(s.snapshots_skipped));
     o
 }
 

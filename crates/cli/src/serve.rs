@@ -32,6 +32,13 @@ use crate::commands::CommandError;
 /// long a worker blocks on a job's progress feed per pull.
 const POLL: Duration = Duration::from_millis(25);
 
+/// The longest request line the daemon reads, newline excluded: 4 MiB,
+/// about forty times the largest ISCAS netlist sent inline (c7552's
+/// `.bench` text is 98 kB). A longer line is rejected and its connection
+/// closed, so a client that never sends a newline cannot grow the
+/// daemon's memory without limit.
+pub const MAX_REQUEST_LINE: usize = 4 << 20;
+
 /// Configuration for [`Server::bind`].
 #[derive(Debug, Default)]
 pub struct ServeConfig {
@@ -367,12 +374,35 @@ fn spawn_connection(
 }
 
 fn read_requests(shared: &Arc<Shared>, client: u64, reader: impl Read, writer: &ClientWriter) {
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(reader);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // one byte past the cap tells an over-long line from a full one
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_REQUEST_LINE {
+            send_line(
+                writer,
+                &wire::encode_response(&Response::Rejected {
+                    reason: format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                    retry_after_ms: None,
+                }),
+            );
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match wire::decode_request(&line) {
+        match wire::decode_request(line) {
             Err(e) => send_line(
                 writer,
                 &wire::encode_response(&Response::Rejected {

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `bist` binary: help snapshot, cache-served
-//! reruns byte-identical to computed ones, batch-vs-individual
-//! bit-identity, and diagnostic exit codes.
+//! reruns byte-identical to computed ones, estimates identical at every
+//! pool width, estimate-first runs answered from the unflagged entry,
+//! batch-vs-individual bit-identity, and diagnostic exit codes.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -188,6 +189,115 @@ fn fault_model_runs_are_distinct_cache_entries_and_cache_cleanly() {
     let bad = bist(&["sweep", "c17", "--points", "0,8", "--fault-model", "warp"]);
     assert_eq!(bad.status.code(), Some(2));
     assert!(stderr(&bad).contains("warp"));
+}
+
+#[test]
+fn warm_estimate_is_a_flagged_byte_identical_cache_hit() {
+    let cache = fresh_dir("estimate");
+    let cache = cache.to_str().expect("UTF-8 path");
+    let args = &[
+        "estimate",
+        "c432",
+        "--prefix",
+        "100",
+        "--format",
+        "json",
+        "--cache-dir",
+        cache,
+    ];
+
+    let cold = bist(args);
+    assert!(cold.status.success(), "{}", stderr(&cold));
+    assert!(stderr(&cold).contains("cache: hits=0 misses=1 stores=1"));
+    assert!(stdout(&cold).contains("\"job\": \"estimate\""));
+
+    let warm = bist(args);
+    assert!(warm.status.success());
+    assert!(
+        stderr(&warm).contains("cache: hits=1 misses=0 stores=0"),
+        "second estimate must be served from the cache:\n{}",
+        stderr(&warm)
+    );
+    assert!(
+        stderr(&warm).contains("finished (cache hit)"),
+        "the hit is flagged:\n{}",
+        stderr(&warm)
+    );
+    assert_eq!(stdout(&cold), stdout(&warm), "byte-identical estimate");
+}
+
+#[test]
+fn estimate_is_byte_identical_at_widths_1_and_4() {
+    let at_width = |threads: &str| {
+        Command::new(env!("CARGO_BIN_EXE_bist"))
+            .env("BIST_THREADS", threads)
+            .args([
+                "estimate",
+                "c432",
+                "--prefix",
+                "100",
+                "--no-cache",
+                "--format",
+                "json",
+            ])
+            .output()
+            .expect("binary runs")
+    };
+    let (one, four) = (at_width("1"), at_width("4"));
+    assert!(one.status.success() && four.status.success());
+    assert_eq!(stdout(&one), stdout(&four), "the sample ignores the width");
+}
+
+#[test]
+fn estimate_first_sweep_is_answered_from_the_unflagged_entry() {
+    // a cold flagged run streams its preview …
+    let preview = bist(&[
+        "sweep",
+        "c17",
+        "--points",
+        "0,8",
+        "--estimate-first",
+        "--no-cache",
+    ]);
+    assert!(preview.status.success());
+    assert!(stderr(&preview).contains("estimate p="), "cold preview");
+
+    // … but the flag stays out of the job digest: a flagged sweep is
+    // answered exactly from the unflagged sweep's entry, preview-free
+    let cache = fresh_dir("estimate-first");
+    let cache = cache.to_str().expect("UTF-8 path");
+    let sweep = |flagged: bool| {
+        let mut args = vec![
+            "sweep",
+            "c432",
+            "--points",
+            "0,50",
+            "--format",
+            "json",
+            "--cache-dir",
+            cache,
+        ];
+        if flagged {
+            args.push("--estimate-first");
+        }
+        bist(&args)
+    };
+    let plain = sweep(false);
+    assert!(plain.status.success());
+    assert!(stderr(&plain).contains("cache: hits=0 misses=1 stores=1"));
+    let flagged = sweep(true);
+    assert!(flagged.status.success());
+    assert!(
+        stderr(&flagged).contains("cache: hits=1 misses=0 stores=0"),
+        "the flagged sweep hits the unflagged entry:\n{}",
+        stderr(&flagged)
+    );
+    assert_eq!(stdout(&plain), stdout(&flagged), "byte-identical sweep");
+    assert!(
+        !stderr(&flagged).contains("estimate p="),
+        "a warm hit streams no preview:\n{}",
+        stderr(&flagged)
+    );
 }
 
 const MANIFEST: &str = r#"

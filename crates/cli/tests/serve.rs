@@ -1,8 +1,10 @@
 //! End-to-end contract of `bist serve`: concurrent clients over real
 //! TCP sockets get results byte-identical to one-shot local runs, the
 //! server-lifetime cache answers repeats without re-simulation,
-//! admission control rejects (never hangs) when the queue is full, and
-//! a shutdown request drains in-flight jobs before `serve()` returns.
+//! admission control rejects (never hangs) when the queue is full, an
+//! over-long request line is rejected without taking the daemon down,
+//! and a shutdown request drains in-flight jobs before `serve()`
+//! returns.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -11,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use bist_cli::commands::CommandError;
 use bist_cli::render::result_json;
-use bist_cli::serve::{ServeConfig, Server};
+use bist_cli::serve::{ServeConfig, Server, MAX_REQUEST_LINE};
 use bist_engine::wire::{self, Request, Response};
 use bist_engine::{CircuitSource, Engine, FaultModel, JobResult, JobSpec, ResultCache};
 
@@ -310,6 +312,59 @@ fn a_full_queue_rejects_with_a_retry_hint_and_shutdown_drains_in_flight_work() {
         }
     };
     assert!(refused, "a draining/stopped server refuses new work");
+}
+
+#[test]
+fn an_over_long_request_line_is_rejected_and_the_daemon_keeps_serving() {
+    let (addr, server) = start(ServeConfig {
+        jobs: 1,
+        queue_capacity: 4,
+        retry_after_ms: 100,
+        ..ServeConfig::default()
+    });
+
+    // a client that streams one byte past the cap and never a newline
+    let mut hostile = TestClient::connect(addr);
+    let chunk = vec![b'x'; 64 << 10];
+    let mut left = MAX_REQUEST_LINE + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        hostile.writer.write_all(&chunk[..n]).expect("stream bytes");
+        left -= n;
+    }
+    hostile.writer.flush().expect("flush");
+    match hostile.next() {
+        Response::Rejected {
+            reason,
+            retry_after_ms,
+        } => {
+            assert!(
+                reason.contains(&MAX_REQUEST_LINE.to_string()),
+                "the rejection names the cap: {reason}"
+            );
+            assert_eq!(retry_after_ms, None, "retrying cannot help");
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+    assert!(
+        hostile.next_or_eof().is_none(),
+        "the over-long connection is closed"
+    );
+
+    // another tenant is still served
+    let (solved, cached) = TestClient::connect(addr).run(solve_spec());
+    assert!(!cached);
+    assert!(solved.as_solve_at().is_some(), "c17 solve answered");
+
+    let mut control = TestClient::connect(addr);
+    control.send(&Request::Shutdown);
+    let Response::Stopping { .. } = control.next() else {
+        panic!("shutdown request answers with stopping");
+    };
+    server
+        .join()
+        .expect("serve thread")
+        .expect("graceful shutdown exits cleanly");
 }
 
 impl TestClient {

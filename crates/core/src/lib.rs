@@ -11,8 +11,10 @@
 //! two-pattern stuck-open tests require.
 //!
 //! This crate implements the incremental flow ([`BistSession`]: fault
-//! universe built once, prefix fault simulation advanced across
-//! checkpoints, ATPG cached per open-fault frontier), the shared-register
+//! universe built once, prefix grading advanced along ascending
+//! checkpoints, ATPG cached per open-fault frontier), the one prefix
+//! grader every fault model's session grades through ([`PrefixGrader`],
+//! with the ladder rule [`solve_ascending`]), the shared-register
 //! hardware ([`MixedGenerator`], verified by cycle-accurate replay and
 //! implementing the workspace-wide [`Tpg`](bist_tpg::Tpg) trait), and the
 //! `(p, d)` trade-off sweep behind the paper's Figures 5/7/8 and Table 2
@@ -39,15 +41,16 @@
 #![warn(missing_docs)]
 
 mod mixed;
+mod prefix;
 /// The complete simulated self-test loop of the paper's Figure 1:
 /// generator → circuit under test → MISR signature → PASS/FAIL.
 pub mod selftest;
 mod session;
 
 pub use mixed::{BuildMixedError, HandoverDecode, MixedGenerator};
+pub use prefix::{solve_ascending, PrefixGrader};
 pub use session::{
-    sweep_circuits, BistSession, MixedSchemeConfig, MixedSchemeError, MixedSolution, SessionStats,
-    SweepSummary,
+    BistSession, MixedSchemeConfig, MixedSchemeError, MixedSolution, SessionStats, SweepSummary,
 };
 
 /// One-stop re-exports of the substrate crates.
@@ -66,7 +69,6 @@ pub mod prelude {
     pub use bist_tpg::Tpg;
 
     pub use crate::{
-        sweep_circuits, BistSession, MixedGenerator, MixedSchemeConfig, MixedSolution,
-        SessionStats, SweepSummary,
+        BistSession, MixedGenerator, MixedSchemeConfig, MixedSolution, SessionStats, SweepSummary,
     };
 }

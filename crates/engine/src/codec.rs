@@ -121,8 +121,6 @@ fn encode_stats(s: &SessionStats) -> Json {
     o.push("atpg_runs", Json::uint(s.atpg_runs));
     o.push("atpg_cache_hits", Json::uint(s.atpg_cache_hits));
     o.push("podem_cache_hits", Json::uint(s.podem_cache_hits));
-    o.push("snapshots_taken", Json::uint(s.snapshots_taken));
-    o.push("snapshots_skipped", Json::uint(s.snapshots_skipped));
     o
 }
 
@@ -133,8 +131,6 @@ fn decode_stats(j: &Json) -> Option<SessionStats> {
         atpg_runs: j.get("atpg_runs")?.as_usize()?,
         atpg_cache_hits: j.get("atpg_cache_hits")?.as_usize()?,
         podem_cache_hits: j.get("podem_cache_hits")?.as_usize()?,
-        snapshots_taken: j.get("snapshots_taken")?.as_usize()?,
-        snapshots_skipped: j.get("snapshots_skipped")?.as_usize()?,
     })
 }
 
@@ -589,22 +585,51 @@ mod tests {
         );
     }
 
+    fn assert_sweeps_identical(a: &JobResult, b: &JobResult) {
+        let (a, b) = (a.as_sweep().expect("sweep"), b.as_sweep().expect("sweep"));
+        assert_eq!(a.circuit, b.circuit);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.summary.solutions().len(), b.summary.solutions().len());
+        for (x, y) in a.summary.solutions().iter().zip(b.summary.solutions()) {
+            assert_solutions_identical(x, y);
+        }
+    }
+
     #[test]
     fn sweep_round_trips_bit_identically() {
         let engine = Engine::with_threads(1);
         let result = engine
             .run(JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 4, 8]))
             .expect("c17 sweep");
-        let back = round_trip(&result);
-        let (a, b) = (
-            result.as_sweep().expect("sweep"),
-            back.as_sweep().expect("sweep"),
-        );
-        assert_eq!(a.circuit, b.circuit);
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.summary.solutions().len(), b.summary.solutions().len());
-        for (x, y) in a.summary.solutions().iter().zip(b.summary.solutions()) {
-            assert_solutions_identical(x, y);
+        assert_sweeps_identical(&result, &round_trip(&result));
+    }
+
+    #[test]
+    fn entries_carrying_the_dropped_snapshot_counters_still_decode() {
+        // schema-4 entries written before the session's checkpoint
+        // snapshots were deleted end their stats with two more counters;
+        // decoding ignores them
+        let engine = Engine::with_threads(1);
+        let result = engine
+            .run(JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 4, 8]))
+            .expect("c17 sweep");
+        let mut doc = encode_result(&result);
+        let stats = field(field(&mut doc, "result"), "stats");
+        stats.push("snapshots_taken", Json::uint(2));
+        stats.push("snapshots_skipped", Json::uint(1));
+        let text = doc.render_pretty();
+        assert!(text.contains("\"snapshots_skipped\": 1"), "{text}");
+        let old = decode_result(&json::parse(&text).expect("valid JSON")).expect("still decodes");
+        assert_sweeps_identical(&result, &old);
+    }
+
+    fn field<'j>(object: &'j mut Json, key: &str) -> &'j mut Json {
+        match object {
+            Json::Object(pairs) => pairs
+                .iter_mut()
+                .find_map(|(k, v)| (k == key).then_some(v))
+                .expect("field present"),
+            _ => panic!("not an object"),
         }
     }
 

@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bist_baselines::{bakeoff, BakeoffConfig};
-use bist_core::{BistSession, MixedGenerator, MixedSolution, SweepSummary};
+use bist_core::{solve_ascending, BistSession, MixedGenerator, SweepSummary};
 use bist_faultmodel::{estimate_coverage, ModelSession};
 use bist_faultsim::{CoverageCurve, CoverageReport};
 use bist_hdl::{emit_verilog, emit_verilog_testbench, emit_vhdl, lint, HdlOptions};
@@ -475,31 +475,21 @@ impl Engine {
             self.estimate_preview(feed, id, &s.config, circuit, longest);
         }
         let mut session = ModelSession::new(circuit, s.config.clone(), s.fault_model);
-        // ascending solve order keeps the incremental contract (each
-        // pseudo-random pattern graded at most once) while leaving a
-        // cancellation/progress boundary between points; results are
-        // bit-identical to `ModelSession::sweep`
-        let mut ascending: Vec<usize> = s.prefix_lengths.clone();
-        ascending.sort_unstable();
-        ascending.dedup();
-        let mut solved: std::collections::BTreeMap<usize, MixedSolution> =
-            std::collections::BTreeMap::new();
-        for &p in &ascending {
+        // the ascending rule keeps each pseudo-random pattern graded at
+        // most once, and each point leaves a cancellation/progress
+        // boundary; results are bit-identical to `ModelSession::sweep`
+        let solutions = solve_ascending(&s.prefix_lengths, |p| {
             if cancel.is_canceled() {
                 return Err(BistError::Canceled);
             }
             let solution = session.solve_at(p)?;
             self.checkpoint(feed, id, p, &solution.coverage);
-            solved.insert(p, solution);
-        }
-        let stats = session.stats();
-        drop(session);
-        let solutions: Vec<MixedSolution> =
-            s.prefix_lengths.iter().map(|p| solved[p].clone()).collect();
+            Ok(solution)
+        })?;
         Ok(JobResult::Sweep(SweepOutcome {
             circuit: circuit.name().to_owned(),
             summary: SweepSummary::from_solutions(solutions),
-            stats,
+            stats: session.stats(),
         }))
     }
 
@@ -513,27 +503,21 @@ impl Engine {
     ) -> Result<JobResult, BistError> {
         let mut session = ModelSession::new(circuit, s.config.clone(), s.fault_model);
         let universe = session.universe_len();
-        let mut ascending: Vec<usize> = s.checkpoints.clone();
-        ascending.sort_unstable();
-        ascending.dedup();
-        let mut at: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        for &cp in &ascending {
+        let coverage = solve_ascending(&s.checkpoints, |cp| {
             if cancel.is_canceled() {
                 return Err(BistError::Canceled);
             }
-            let point = session.random_coverage_curve(&[cp]);
-            let pct = point.points()[0].1;
+            let pct = session.random_coverage_curve(&[cp]).points()[0].1;
             feed.push(ProgressEvent::Checkpoint {
                 job: id,
                 prefix_len: cp,
                 coverage_pct: pct,
             });
-            at.insert(cp, pct);
-        }
-        let points: Vec<(usize, f64)> = s.checkpoints.iter().map(|&cp| (cp, at[&cp])).collect();
+            Ok(pct)
+        })?;
         Ok(JobResult::CoverageCurve(CurveOutcome {
             circuit: circuit.name().to_owned(),
-            curve: CoverageCurve::new(points),
+            curve: CoverageCurve::new(s.checkpoints.iter().copied().zip(coverage).collect()),
             fault_universe: universe,
         }))
     }

@@ -276,30 +276,40 @@ fn estimate_first_previews_before_the_first_checkpoint() {
 
 #[test]
 fn batches_run_in_spec_order_with_identical_results() {
-    let engine = Engine::with_threads(1);
-    let specs = vec![
-        JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8]),
-        JobSpec::area_report(CircuitSource::iscas85("c17")),
-        JobSpec::solve_at(CircuitSource::iscas85("c432"), 50),
-    ];
-    let results = engine.run_batch(specs);
-    assert_eq!(results.len(), 3);
-    let sweep = results[0].as_ref().expect("sweep ok");
-    assert!(sweep.as_sweep().is_some());
-    assert!(results[1]
-        .as_ref()
-        .expect("area ok")
-        .as_area_report()
-        .is_some());
-    let solve = results[2].as_ref().expect("solve ok");
-    let solo = engine
+    // width 1 runs the jobs one by one at full width; width 2 runs them
+    // concurrently with serial per-job engines — one level of parallelism
+    let solo = Engine::with_threads(1)
         .run(JobSpec::solve_at(CircuitSource::iscas85("c432"), 50))
         .expect("solo solve");
-    assert_eq!(
-        solve.as_solve_at().expect("solve outcome").solution.det_len,
-        solo.as_solve_at().expect("solve outcome").solution.det_len,
-        "batch and solo runs are bit-identical"
-    );
+    let solo = &solo.as_solve_at().expect("solve outcome").solution;
+    for threads in [1, 2] {
+        let engine = Engine::with_threads(threads);
+        let specs = vec![
+            JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8]),
+            JobSpec::area_report(CircuitSource::iscas85("c17")),
+            JobSpec::solve_at(CircuitSource::iscas85("c432"), 50),
+        ];
+        let results = engine.run_batch(specs);
+        assert_eq!(results.len(), 3);
+        let sweep = results[0].as_ref().expect("sweep ok");
+        assert!(sweep.as_sweep().is_some());
+        assert!(results[1]
+            .as_ref()
+            .expect("area ok")
+            .as_area_report()
+            .is_some());
+        let solve = results[2].as_ref().expect("solve ok");
+        let solve = &solve.as_solve_at().expect("solve outcome").solution;
+        assert_eq!(
+            solve.det_len, solo.det_len,
+            "threads={threads}: batch and solo runs are bit-identical"
+        );
+        assert_eq!(
+            solve.generator.deterministic(),
+            solo.generator.deterministic(),
+            "threads={threads}"
+        );
+    }
 }
 
 #[test]

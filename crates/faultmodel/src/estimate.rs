@@ -18,9 +18,8 @@ use std::collections::BTreeMap;
 use bist_core::MixedSchemeConfig;
 use bist_fault::{CollapsedUniverse, FaultStatus};
 use bist_faultsim::FaultSim;
+use bist_lfsr::pseudo_random_patterns;
 use bist_netlist::Circuit;
-
-use crate::session::stream;
 
 /// One sampled coverage estimate with its confidence interval.
 ///
@@ -105,7 +104,11 @@ pub fn estimate_coverage(
         .map(|&r| universe.representatives().faults()[r])
         .collect();
     let mut sim = FaultSim::new(circuit, subset).with_threads(config.threads);
-    sim.simulate(&stream(config, circuit).patterns(prefix_len));
+    sim.simulate(&pseudo_random_patterns(
+        config.poly,
+        circuit.inputs().len(),
+        prefix_len,
+    ));
 
     // status of each sampled full fault = its representative's status
     let status_of_rep: BTreeMap<usize, FaultStatus> = rep_indices
@@ -262,7 +265,7 @@ mod tests {
 
         let universe = CollapsedUniverse::build(&c17);
         let mut sim = FaultSim::new(&c17, universe.full().clone());
-        sim.simulate(&stream(&config, &c17).patterns(64));
+        sim.simulate(&pseudo_random_patterns(config.poly, c17.inputs().len(), 64));
         let exact = sim.report().coverage_pct();
         assert!((e.estimate_pct - exact).abs() < 1e-9, "{e:?} vs {exact}");
         assert!(e.lo_pct <= exact && exact <= e.hi_pct);

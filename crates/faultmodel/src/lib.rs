@@ -17,9 +17,11 @@
 //!   [`FaultSim`](bist_faultsim::FaultSim), over each model's universe.
 //! * [`ModelSession`] — the mixed-scheme solve/sweep/curve flow over any
 //!   model, delegating to [`bist_core::BistSession`] for the default one.
-//!   The transition and bridging flows share one incremental prefix
-//!   grader (a `FaultSim` generic over the model's fault type), and the
-//!   transition top-up compacts with the stuck-at flow's compactor
+//!   Every model grades its prefix through `bist-core`'s one
+//!   [`PrefixGrader`](bist_core::PrefixGrader) (a `FaultSim` generic
+//!   over the model's fault type), every multi-point call climbs the
+//!   ladder through [`solve_ascending`](bist_core::solve_ascending), and
+//!   the transition top-up compacts with the stuck-at flow's compactor
 //!   (`bist_atpg::compact`).
 //! * [`estimate_coverage`] — seed-pinned stratified sampling of the
 //!   stuck-at universe with a Wilson confidence interval: the cheap

@@ -5,14 +5,11 @@ use std::rc::Rc;
 
 use bist_bridging::{BridgingFault, BridgingFaultList};
 use bist_core::{
-    BistSession, MixedGenerator, MixedSchemeConfig, MixedSchemeError, MixedSolution, SessionStats,
-    SweepSummary,
+    solve_ascending, BistSession, MixedGenerator, MixedSchemeConfig, MixedSchemeError,
+    MixedSolution, PrefixGrader, SessionStats, SweepSummary,
 };
 use bist_delay::{DelayRun, DelayTestGenerator, TransitionFault, TransitionFaultList};
-use bist_fault::FaultStatus;
-use bist_faultsim::{CoverageCurve, CoverageReport, FaultSim, WordFault};
-use bist_lfsr::{Lfsr, ScanExpander};
-use bist_logicsim::Pattern;
+use bist_faultsim::{CoverageCurve, CoverageReport};
 use bist_netlist::Circuit;
 
 use crate::model::FaultModel;
@@ -36,12 +33,13 @@ use crate::model::FaultModel;
 ///   figures answer "how much of a realistic short universe does a
 ///   stuck-at-derived BIST sequence detect?".
 ///
-/// The transition and bridging flows grade prefixes through one shared
-/// incremental grader: requests advance one simulator monotonically; a
+/// Every model grades its prefixes through `bist-core`'s one
+/// [`PrefixGrader`]: requests advance one simulator monotonically; a
 /// request below the front re-grades from scratch and is counted in
-/// [`SessionStats::patterns_resimulated`]. Simulators and the delay ATPG
-/// run at the configuration's one pool width
-/// ([`MixedSchemeConfig::atpg_options`]).
+/// [`SessionStats::patterns_resimulated`]. Multi-point calls solve their
+/// points ascending ([`solve_ascending`]), so they never land below the
+/// front. Simulators and the delay ATPG run at the configuration's one
+/// pool width ([`MixedSchemeConfig::atpg_options`]).
 ///
 /// # Example
 ///
@@ -143,30 +141,13 @@ impl<'c> ModelSession<'c> {
 
     /// Solves every prefix length of `prefix_lengths` (results in request
     /// order), sharing the session's incremental state: checkpoints are
-    /// processed ascending, so each prefix pattern is graded at most once.
+    /// solved ascending, so each prefix pattern is graded at most once.
     ///
     /// # Errors
     ///
     /// Propagates the first [`MixedSchemeError`] encountered.
     pub fn sweep(&mut self, prefix_lengths: &[usize]) -> Result<SweepSummary, MixedSchemeError> {
-        if let Inner::StuckAt(s) = &mut self.inner {
-            return s.sweep(prefix_lengths);
-        }
-        let mut ascending: Vec<usize> = prefix_lengths.to_vec();
-        ascending.sort_unstable();
-        ascending.dedup();
-        let mut solved: BTreeMap<usize, MixedSolution> = BTreeMap::new();
-        for &p in &ascending {
-            solved.insert(p, self.solve_at(p)?);
-        }
-        let solutions = prefix_lengths
-            .iter()
-            .map(|&p| match solved.get(&p) {
-                Some(s) => Ok(s.clone()),
-                None => self.solve_at(p),
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(SweepSummary::from_solutions(solutions))
+        solve_ascending(prefix_lengths, |p| self.solve_at(p)).map(SweepSummary::from_solutions)
     }
 
     /// Coverage-versus-length curve of the pure pseudo-random sequence
@@ -174,97 +155,15 @@ impl<'c> ModelSession<'c> {
     pub fn random_coverage_curve(&mut self, checkpoints: &[usize]) -> CoverageCurve {
         match &mut self.inner {
             Inner::StuckAt(s) => s.random_coverage_curve(checkpoints),
-            Inner::Transition(s) => curve(checkpoints, |cp| s.grader.statuses_at(cp, &mut s.stats)),
-            Inner::Bridging(s) => curve(checkpoints, |cp| s.grader.statuses_at(cp, &mut s.extra)),
+            Inner::Transition(s) => {
+                s.grader
+                    .coverage_curve(checkpoints, s.grader.universe().len(), &mut s.stats)
+            }
+            Inner::Bridging(s) => {
+                s.grader
+                    .coverage_curve(checkpoints, s.grader.universe().len(), &mut s.extra)
+            }
         }
-    }
-}
-
-fn curve(
-    checkpoints: &[usize],
-    mut statuses_at: impl FnMut(usize) -> Vec<FaultStatus>,
-) -> CoverageCurve {
-    let points = checkpoints
-        .iter()
-        .map(|&cp| {
-            let statuses = statuses_at(cp);
-            (cp, CoverageReport::from_statuses(&statuses).coverage_pct())
-        })
-        .collect();
-    CoverageCurve::new(points)
-}
-
-/// The scheme's pseudo-random stream — identical to the one
-/// [`BistSession`] feeds its own simulator (the coverage estimator
-/// grades a sample of the universe against the very same stream).
-pub(crate) fn stream(config: &MixedSchemeConfig, circuit: &Circuit) -> ScanExpander {
-    ScanExpander::new(Lfsr::fibonacci(config.poly, 1), circuit.inputs().len())
-}
-
-/// Incremental prefix grading over one model's universe, shared by the
-/// transition and bridging flows: one simulator advanced monotonically
-/// along the scheme's pseudo-random stream, so each prefix pattern is
-/// graded once. A request below the front re-grades on a fresh simulator
-/// and leaves the shared one untouched.
-#[derive(Debug)]
-struct PrefixGrader<'c, F> {
-    /// The shared simulator; it holds the universe.
-    sim: FaultSim<'c, F>,
-    /// The stream, positioned at the front.
-    expander: ScanExpander,
-    /// The stream at its start, for re-grades.
-    origin: ScanExpander,
-    /// Prefix patterns the shared simulator has consumed.
-    front: usize,
-}
-
-impl<'c, F: WordFault> PrefixGrader<'c, F> {
-    fn new(
-        circuit: &'c Circuit,
-        config: &MixedSchemeConfig,
-        universe: impl IntoIterator<Item = F>,
-    ) -> Self {
-        let origin = stream(config, circuit);
-        PrefixGrader {
-            sim: FaultSim::new(circuit, universe).with_threads(config.threads),
-            expander: origin.clone(),
-            origin,
-            front: 0,
-        }
-    }
-
-    fn universe(&self) -> &[F] {
-        self.sim.faults()
-    }
-
-    /// Fault statuses after exactly `p` prefix patterns; the patterns
-    /// graded to answer are counted in `stats`.
-    fn statuses_at(&mut self, p: usize, stats: &mut SessionStats) -> Vec<FaultStatus> {
-        if p >= self.front {
-            let chunk = self.expander.patterns(p - self.front);
-            self.sim.simulate(&chunk);
-            stats.patterns_simulated += chunk.len();
-            self.front = p;
-            self.sim.statuses().to_vec()
-        } else {
-            stats.patterns_resimulated += p;
-            self.regrade(p, &[]).statuses().to_vec()
-        }
-    }
-
-    /// A fresh simulator over the universe, at the shared one's width,
-    /// that has graded the first `p` prefix patterns and then `suffix`.
-    fn regrade(&self, p: usize, suffix: &[Pattern]) -> FaultSim<'c, F> {
-        let mut sim = FaultSim::new(self.sim.circuit(), self.universe().iter().copied())
-            .with_threads(self.sim.threads());
-        sim.simulate(&self.prefix(p));
-        sim.simulate(suffix);
-        sim
-    }
-
-    /// The first `p` patterns of the stream.
-    fn prefix(&self, p: usize) -> Vec<Pattern> {
-        self.origin.clone().patterns(p)
     }
 }
 
@@ -434,7 +333,7 @@ mod tests {
         let mut forward = ModelSession::new(&c17, cfg.clone(), FaultModel::Transition);
         let a16 = forward.solve_at(16).expect("solve succeeds");
         let a8 = forward.solve_at(8).expect("below the front");
-        assert!(forward.stats().patterns_resimulated > 0);
+        assert_eq!(forward.stats().patterns_resimulated, 8, "from scratch");
 
         let mut fresh = ModelSession::new(&c17, cfg, FaultModel::Transition);
         let b8 = fresh.solve_at(8).expect("solve succeeds");
@@ -482,6 +381,29 @@ mod tests {
             assert!(curve.is_monotone(), "{model}");
             assert_eq!(curve.points()[0].1, 0.0, "{model}: empty prefix");
             assert!(curve.final_coverage().expect("non-empty") > 0.0, "{model}");
+        }
+    }
+
+    #[test]
+    fn unordered_curves_grade_each_prefix_pattern_once() {
+        let c17 = bist_netlist::iscas85::c17();
+        for model in [
+            FaultModel::StuckAt,
+            FaultModel::Transition,
+            FaultModel::Bridging { pairs: 40, seed: 7 },
+        ] {
+            let mut session = ModelSession::new(&c17, MixedSchemeConfig::default(), model);
+            let curve = session.random_coverage_curve(&[64, 0, 16, 8]);
+            let lengths: Vec<usize> = curve.points().iter().map(|&(p, _)| p).collect();
+            assert_eq!(lengths, vec![64, 0, 16, 8], "{model}: request order");
+            let mut fresh = ModelSession::new(&c17, MixedSchemeConfig::default(), model);
+            let ascending = fresh.random_coverage_curve(&[0, 8, 16, 64]);
+            for &(p, pct) in curve.points() {
+                assert!(ascending.points().contains(&(p, pct)), "{model}: p={p}");
+            }
+            let stats = session.stats();
+            assert_eq!(stats.patterns_simulated, 64, "{model}");
+            assert_eq!(stats.patterns_resimulated, 0, "{model}");
         }
     }
 

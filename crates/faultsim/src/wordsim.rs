@@ -320,7 +320,7 @@ pub struct FaultSim<'c, F = Fault> {
     scratch: ConeScratch,
     /// Indices of still-undetected faults, maintained incrementally
     /// (swap-remove on detection). Rebuilt lazily after out-of-band status
-    /// edits ([`FaultSim::set_status`] / [`FaultSim::reset`]).
+    /// edits ([`FaultSim::set_status`]).
     live: Vec<u32>,
     live_dirty: bool,
     /// Reused 64-pattern packing buffer (allocated on the first block).
@@ -383,46 +383,11 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
         self.hw_threads = n.max(1);
     }
 
-    /// Re-creates a simulator mid-sequence from a carry checkpoint: the
-    /// per-fault `statuses` and good-machine `carry` bits recorded after
-    /// exactly `patterns_seen` patterns of some sequence (see
-    /// [`FaultSim::carry_bits`]). Feeding the remainder of that sequence
-    /// behaves exactly like one simulator that consumed it end to end,
-    /// except that [`FaultSim::first_detection`] is only populated for
-    /// faults detected *after* the resume point (earlier detections carry
-    /// a status but no index), and excitation flags restart at the resume
-    /// point too.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `statuses` does not match the universe or `carry` does
-    /// not match the circuit.
-    pub fn resume(
-        circuit: &'c Circuit,
-        faults: impl IntoIterator<Item = F>,
-        statuses: &[FaultStatus],
-        carry: &[bool],
-        patterns_seen: u32,
-    ) -> Self {
-        let mut sim = FaultSim::new(circuit, faults);
-        assert_eq!(statuses.len(), sim.faults.len(), "status/universe mismatch");
-        assert_eq!(carry.len(), circuit.num_nodes(), "carry/circuit mismatch");
-        sim.status.copy_from_slice(statuses);
-        sim.last_bits.copy_from_slice(carry);
-        sim.patterns_seen = patterns_seen;
-        sim
-    }
-
-    /// Sets the pool width for subsequent [`FaultSim::simulate`] calls
-    /// (`0` = automatic: `BIST_THREADS` or the machine width). Grading
-    /// results never depend on this knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.pool = Pool::resolve(threads);
-    }
-
-    /// Builder form of [`FaultSim::set_threads`].
+    /// Sets the pool width for [`FaultSim::simulate`] (`0` = automatic:
+    /// `BIST_THREADS` or the machine width). Grading results never depend
+    /// on this knob.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
+        self.pool = Pool::resolve(threads);
         self
     }
 
@@ -494,24 +459,6 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
     /// cone events). Deterministic at every thread width.
     pub fn counters(&self) -> SimCounters {
         self.counters
-    }
-
-    /// The good-machine node values after the last consumed pattern — the
-    /// two-pattern carry. Together with [`FaultSim::statuses`] and
-    /// [`FaultSim::patterns_seen`] this is a complete mid-sequence
-    /// checkpoint for [`FaultSim::resume`].
-    pub fn carry_bits(&self) -> &[bool] {
-        &self.last_bits
-    }
-
-    /// Forgets all grading results and the sequence position.
-    pub fn reset(&mut self) {
-        self.status.fill(FaultStatus::Undetected);
-        self.first_detection.fill(None);
-        self.excited.fill(false);
-        self.patterns_seen = 0;
-        self.last_bits.fill(false);
-        self.live_dirty = true;
     }
 
     /// Grades `patterns` (in order, continuing any previously fed

@@ -162,37 +162,3 @@ proptest! {
         }
     }
 }
-
-/// `sweep_circuits` over a mixed batch equals per-circuit sessions, at a
-/// parallel outer pool (one fixed heavier case on real ISCAS circuits —
-/// kept out of the proptest loop for runtime).
-#[test]
-fn parallel_circuit_sweep_equals_solo_sessions() {
-    let circuits = vec![
-        bist_netlist::iscas85::c17(),
-        bist_netlist::iscas85::circuit("c432").unwrap(),
-    ];
-    let config = MixedSchemeConfig {
-        threads: 4,
-        ..MixedSchemeConfig::default()
-    };
-    let prefixes = [0usize, 32, 96];
-    let summaries = sweep_circuits(&circuits, &config, &prefixes).unwrap();
-    for (circuit, summary) in circuits.iter().zip(&summaries) {
-        let solo_cfg = MixedSchemeConfig {
-            threads: 1,
-            ..MixedSchemeConfig::default()
-        };
-        let mut solo = BistSession::new(circuit, solo_cfg);
-        let want = solo.sweep(&prefixes).unwrap();
-        for (a, b) in want.solutions().iter().zip(summary.solutions()) {
-            assert_eq!(a.det_len, b.det_len, "{}", circuit.name());
-            assert_eq!(
-                a.generator.deterministic(),
-                b.generator.deterministic(),
-                "{}",
-                circuit.name()
-            );
-        }
-    }
-}
