@@ -6,6 +6,7 @@
 //! cargo run --release -p bist-bench --bin bench_faultsim
 //! cargo run --release -p bist-bench --bin bench_faultsim -- --quick
 //! cargo run --release -p bist-bench --bin bench_faultsim -- --circuits c432 --patterns 2048
+//! cargo run --release -p bist-bench --bin bench_faultsim -- --threads 1   # the committed artifact
 //! ```
 //!
 //! Two phases per circuit, both over the same LFSR pseudo-random
@@ -16,11 +17,13 @@
 //!    (`good_gate_evals_per_sec`);
 //! 2. **PPSFP fault grading** — a full [`FaultSim`] run over the mixed
 //!    fault universe, reporting the engine's own work counters
-//!    ([`FaultSim::counters`]): blocks, good-sim gate evaluations and
-//!    cone-propagation events, with derived per-second rates
-//!    (`cone_events_per_sec`, `blocks_per_sec`).
+//!    ([`FaultSim::counters`]): blocks, good-sim gate evaluations,
+//!    cone-propagation events of the stem walks and per-fault
+//!    evaluations, with derived per-second rates (`cone_events_per_sec`,
+//!    `blocks_per_sec`).
 //!
-//! The *work counters* (blocks, gate evals, cone events, detections) are
+//! The *work counters* (blocks, gate evals, cone events, fault
+//! evaluations, detections) are
 //! deterministic — identical at every thread width and across machines
 //! for a given circuit and pattern budget; only the `*_seconds` and
 //! `*_per_sec` fields move. A change in the counters at a fixed budget
@@ -52,7 +55,7 @@ fn main() {
         "BENCH faultsim",
         "flattened-core throughput: good-machine gate evals, cone events, blocks",
     );
-    let args = ExperimentArgs::parse(&["c432"]);
+    let args = ExperimentArgs::parse(&["c432", "c5315", "c7552"]);
     args.warn_fixed_format("bench_faultsim");
     let patterns_budget = match args
         .extra
@@ -145,7 +148,8 @@ fn render_json(threads: usize, results: &[CircuitResult]) -> String {
              \"good_sim_seconds\": {:.6},\n      \"good_gate_evals\": {},\n      \
              \"good_gate_evals_per_sec\": {:.0},\n      \"sim_seconds\": {:.6},\n      \
              \"blocks\": {},\n      \"blocks_per_sec\": {:.1},\n      \
-             \"cone_events\": {},\n      \"cone_events_per_sec\": {:.0}\n    }}",
+             \"cone_events\": {},\n      \"cone_events_per_sec\": {:.0},\n      \
+             \"fault_evals\": {}\n    }}",
             r.name,
             r.patterns,
             r.faults,
@@ -158,6 +162,7 @@ fn render_json(threads: usize, results: &[CircuitResult]) -> String {
             r.counters.blocks as f64 / r.sim_seconds,
             r.counters.cone_events,
             r.counters.cone_events as f64 / r.sim_seconds,
+            r.counters.fault_evals,
         );
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }

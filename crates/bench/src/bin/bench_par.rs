@@ -20,10 +20,12 @@
 //! first-detection indices, not just the coverage percentage. Writes
 //! `BENCH_par.json` with per-width wall-times and speedups (each timed
 //! measurement includes the fault-list build, identically at every
-//! width). On a machine narrower than the pool the per-worker sharding
-//! threshold grades inline at every width (see DESIGN.md §13) — the
-//! JSON then documents the overhead-free fallback rather than the
-//! scaling.
+//! width). Only a block's cone walks shard, and only when there are at
+//! least `workers × 128` of them (`workers` being the pool width clamped
+//! to the machine; see DESIGN.md §16): smaller blocks, and every width
+//! on a machine narrower than the pool, grade inline, so the JSON then
+//! documents the overhead-free fallback rather than the scaling. This
+//! binary is what placed that walk-count cutoff.
 
 use std::fmt::Write as _;
 use std::time::Instant;

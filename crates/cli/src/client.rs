@@ -53,6 +53,11 @@ impl Connect {
             Connect::Tcp(addr) => {
                 let stream = TcpStream::connect(addr)
                     .map_err(|e| CommandError::Io(format!("cannot connect to {addr}: {e}")))?;
+                // one request line per exchange: send it without waiting
+                // for the ACK of the previous segment
+                stream
+                    .set_nodelay(true)
+                    .map_err(|e| CommandError::Io(format!("cannot configure socket: {e}")))?;
                 let reader = stream
                     .try_clone()
                     .map_err(|e| CommandError::Io(format!("cannot clone socket: {e}")))?;
@@ -86,10 +91,10 @@ struct Session {
 
 impl Session {
     fn send(&mut self, request: &Request) -> Result<(), CommandError> {
-        let line = wire::encode_request(request);
+        let mut line = wire::encode_request(request);
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .map_err(|e| CommandError::Io(format!("cannot send request: {e}")))
     }

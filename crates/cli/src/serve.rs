@@ -81,10 +81,15 @@ impl std::fmt::Debug for Ticket {
 /// swallowed: a vanished client must not take a worker down.
 type ClientWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
+/// Writes `line` and its newline in one `write_all`, so a response leaves
+/// as one segment rather than a line and a trailing byte the peer's
+/// delayed ACK would hold back.
 fn send_line(writer: &ClientWriter, line: &str) {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
     let mut w = writer.lock().expect("client writer lock never poisoned");
-    let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
+    let _ = w.write_all(framed.as_bytes());
     let _ = w.flush();
 }
 
@@ -329,6 +334,9 @@ fn accept_tcp(shared: &Arc<Shared>, listener: &TcpListener) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
+                // responses are small lines a waiting client reads at
+                // once: Nagle would hold each behind the previous ACK
+                let _ = stream.set_nodelay(true);
                 let Ok(reader) = stream.try_clone() else {
                     continue;
                 };

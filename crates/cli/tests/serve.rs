@@ -10,6 +10,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use bist_cli::commands::CommandError;
 use bist_cli::render::result_json;
@@ -54,17 +55,20 @@ struct TestClient {
 }
 
 impl TestClient {
+    /// Connects the way `bist --connect` does: `TCP_NODELAY`, one write
+    /// per request line.
     fn connect(addr: SocketAddr) -> Self {
         let writer = TcpStream::connect(addr).expect("connect to test server");
+        writer.set_nodelay(true).expect("disable Nagle");
         let reader = BufReader::new(writer.try_clone().expect("clone socket"));
         TestClient { reader, writer }
     }
 
     fn send(&mut self, request: &Request) {
-        let line = wire::encode_request(request);
+        let mut line = wire::encode_request(request);
+        line.push('\n');
         self.writer
             .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .expect("send request line");
     }
@@ -155,6 +159,50 @@ fn fault_model_jobs_cross_the_wire_and_hit_the_server_cache() {
     let mut control = TestClient::connect(addr);
     control.send(&Request::Shutdown);
     let Response::Stopping { .. } = control.next() else {
+        panic!("shutdown request answers with stopping");
+    };
+    server
+        .join()
+        .expect("serve thread")
+        .expect("graceful shutdown exits cleanly");
+}
+
+/// A cache hit of a c17 solve is far faster than a delayed ACK. A
+/// response written as a line and then its newline in a second small
+/// segment, with Nagle's algorithm on, waits for the client's delayed ACK
+/// (40 ms on Linux), so the median hit over one connection would read
+/// 40 ms or more.
+#[test]
+fn cache_hits_over_one_connection_are_not_held_back_by_delayed_acks() {
+    let dir = fresh_dir("latency");
+    let (addr, server) = start(ServeConfig {
+        jobs: 1,
+        queue_capacity: 16,
+        retry_after_ms: 100,
+        cache: Some(ResultCache::at(&dir)),
+        ..ServeConfig::default()
+    });
+
+    let mut client = TestClient::connect(addr);
+    let (_, cached) = client.run(solve_spec());
+    assert!(!cached, "cold cache: computed");
+    let mut hits_ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            let (_, cached) = client.run(solve_spec());
+            assert!(cached, "repeat is a cache hit");
+            1e3 * start.elapsed().as_secs_f64()
+        })
+        .collect();
+    hits_ms.sort_by(f64::total_cmp);
+    let median = hits_ms[hits_ms.len() / 2];
+    assert!(
+        median < 20.0,
+        "median cache hit took {median:.1} ms, a delayed-ACK stall: {hits_ms:?}"
+    );
+
+    client.send(&Request::Shutdown);
+    let Response::Stopping { .. } = client.next() else {
         panic!("shutdown request answers with stopping");
     };
     server

@@ -26,7 +26,6 @@ use bist_atpg::{AtpgOptions, AtpgRun, CubeCache, TestGenerator};
 use bist_fault::{CollapsedUniverse, FaultList, FaultStatus};
 use bist_faultsim::{CoverageCurve, CoverageReport};
 use bist_lfsr::Polynomial;
-use bist_logicsim::Pattern;
 use bist_netlist::Circuit;
 use bist_synth::AreaModel;
 
@@ -338,12 +337,6 @@ impl<'c> BistSession<'c> {
     /// Nominal silicon area of the circuit under test, mm².
     pub fn chip_area_mm2(&self) -> f64 {
         self.config.area.circuit_area_mm2(self.circuit)
-    }
-
-    /// The first `count` pseudo-random patterns of the scheme (a fresh
-    /// stream; does not advance the session).
-    pub fn pseudo_random_patterns(&self, count: usize) -> Vec<Pattern> {
-        self.grader.prefix(count)
     }
 
     /// The deterministic top-up for `frontier` (ascending original-universe

@@ -2,14 +2,15 @@
 //!
 //! One simulator, [`FaultSim`], implements *parallel-pattern single-fault
 //! propagation* for every fault model: 64 patterns are simulated
-//! bit-parallel through the good machine, then each live fault is
-//! injected and only its fan-out cone re-evaluated, comparing primary
-//! outputs to the good machine. Faults are dropped on first detection.
-//! On top of the bit-parallelism the live faults of every block are
-//! sharded across a work-stealing pool (`bist-par`; `BIST_THREADS` or
-//! [`FaultSim::with_threads`]) with per-worker cone scratch and a
-//! deterministic fault-order merge, so grading results are bit-identical
-//! at every thread count.
+//! bit-parallel through the good machine, then each live fault's effect
+//! is followed through its fan-out-free region to the region's stem, and
+//! one fan-out cone walk per reached stem tells every fault behind it
+//! which patterns reach a primary output. Faults are dropped on first
+//! detection. On top of the bit-parallelism the cone walks of every
+//! block are sharded across a work-stealing pool (`bist-par`;
+//! `BIST_THREADS` or [`FaultSim::with_threads`]) with per-worker cone
+//! scratch and a deterministic merge, so grading results are
+//! bit-identical at every thread count.
 //!
 //! A model is a [`WordFault`]: it supplies only the faulty seed word(s) of
 //! one fault for one block. This crate implements it for the paper's

@@ -3,25 +3,58 @@
 //! Every fault model in the workspace — stuck-at/stuck-open ([`Fault`],
 //! the default), transition-delay (`bist-delay`), bridging
 //! (`bist-bridging`) — grades the same way: simulate 64 patterns
-//! bit-parallel through the good machine, inject one fault, re-evaluate
-//! only its fan-out cone with the levelized bucket queue, and compare
-//! primary outputs. [`FaultSim`] implements that loop once, generically
-//! over a [`WordFault`]: the model contributes only its *seed* — the
-//! faulty value word(s) at the injection site(s) — and the engine owns
-//! everything else: the flattened [`SimGraph`] good machine, the
-//! previous-pattern words and their carry across blocks (what two-pattern
-//! models key launches on), the live-fault list with drop-on-detection,
-//! per-worker cone scratches leased from a park, and the `bist-par`
-//! sharding whose merge order makes results **bit-identical at every
-//! thread count**.
+//! bit-parallel through the good machine, inject each live fault, and
+//! compare primary outputs. [`FaultSim`] implements that loop once,
+//! generically over a [`WordFault`]: the model contributes only its
+//! *seed* — the faulty value word(s) at the injection site(s) — and the
+//! engine owns everything else: the flattened [`SimGraph`] good machine,
+//! the previous-pattern words and their carry across blocks (what
+//! two-pattern models key launches on), the live-fault list with
+//! drop-on-detection, per-worker cone scratches leased from a park, and
+//! the `bist-par` sharding whose merge order makes results
+//! **bit-identical at every thread count**.
+//!
+//! # Stem-region grading
+//!
+//! A single-site fault is graded through its fan-out-free region
+//! ([`SimGraph::ffr_consumer`]) in three passes per block:
+//!
+//! 1. **Reach the stem.** The fault's difference lanes
+//!    `d = (seed ^ good[site]) & valid` follow the region's one path from
+//!    the site to its stem, AND-ed at each gate with the gate's
+//!    side-input mask: the other inputs' good words for AND/NAND, their
+//!    complements for OR/NOR, all ones for XOR/XNOR/NOT/BUF. The walk
+//!    stops as soon as `d` is empty, so a fault with nothing excited
+//!    costs nothing more. The surviving `d` is OR-ed into the stem's lane
+//!    union.
+//! 2. **One cone walk per stem.** Each stem some live fault reaches gets
+//!    one levelized cone walk, seeded with `good[stem] ^ union[stem]`:
+//!    the stem flipped in exactly the lanes that reach it. The walk's
+//!    detection mask is `obs[stem]`.
+//! 3. **Masks.** A fault's detection mask is `d & obs[stem]`.
+//!
+//! This is exact. In a fan-out-free region the site has exactly one path
+//! to the stem, so no side input on that path can depend on the site:
+//! every side input carries its good value, and each gate on the path
+//! passes a one-input difference exactly where its side inputs allow it.
+//! The faulty machine therefore equals the good machine with the stem
+//! flipped in the lanes of `d`. Lanes are independent bit positions, so
+//! flipping the stem in the union's lanes gives, in each lane, the result
+//! of flipping it alone — `d & obs[stem]` is the lane-wise Boolean
+//! difference the fault's own cone walk would compute.
 //!
 //! A model needing *two* injection sites (a bridging short drives both
-//! shorted nodes to the resolved value) returns two seeds; the cone walk
-//! then starts from the union of both fan-outs. Models with an
-//! excitation-only detection criterion (Iddq for bridges) additionally
-//! opt into per-fault excitation tracking, which the engine evaluates for
-//! the *whole* universe each block — excitation is observable on already
-//! voltage-detected faults too.
+//! shorted nodes to the resolved value) returns two seeds and keeps a
+//! cone walk of its own, started from the union of both fan-outs. Models
+//! with an excitation-only detection criterion (Iddq for bridges)
+//! additionally opt into per-fault excitation tracking, which the engine
+//! evaluates for the *whole* universe each block — excitation is
+//! observable on already voltage-detected faults too.
+//!
+//! Passes 1 and 3 cost a few word operations per fault and run inline;
+//! only the cone walks of pass 2 shard across the pool. The walks fill
+//! `obs` and nothing else, and every mask is formed per fault afterwards,
+//! so the results cannot depend on the pool width.
 
 use std::sync::Mutex;
 
@@ -30,20 +63,20 @@ use bist_logicsim::{Pattern, PatternBlock};
 use bist_netlist::{Circuit, GateKind, LevelQueue, SimGraph};
 use bist_par::Pool;
 
-/// Below this many live faults a block is graded serially even on a wide
-/// pool: the per-block spawn cost would exceed the cone work. The cutoff
-/// only moves work between identical code paths — results are the same on
-/// either side of it.
-const PAR_MIN_FAULTS: usize = 128;
+#[cfg(test)]
+mod reference;
 
-/// Minimum live faults per worker before sharding a block pays: each
-/// extra worker costs a scratch lease, a spawn and a share of the merge
-/// barrier, so a shard thinner than this loses more to overhead than it
-/// gains in parallel cone work. Together with [`PAR_MIN_FAULTS`] this
-/// puts the serial/sharded crossover at `workers × 256` live faults
-/// (see DESIGN.md §13). Like `PAR_MIN_FAULTS`, the cutoff only selects
-/// between bit-identical code paths.
-const PAR_MIN_FAULTS_PER_WORKER: usize = 256;
+/// Minimum cone walks per worker before a block's walks shard across the
+/// pool: below `workers × 128` walks the per-block spawn and merge cost
+/// about as much as the parallel cone work saves, so the walks run inline
+/// on the simulator's own scratch. The crossover was measured with
+/// `bench_par` (DESIGN.md §16). The cutoff only selects between
+/// bit-identical code paths.
+const PAR_MIN_WALKS_PER_WORKER: usize = 128;
+
+/// Marks a node with no cone walk this block, and a fault with no walk to
+/// read (nothing excited, or the difference died before the stem).
+const NO_WALK: u32 = u32::MAX;
 
 /// Monotonic work counters of one [`FaultSim`], exposed so throughput
 /// benchmarks can report rates (and so reviews can assert the steady-state
@@ -57,8 +90,15 @@ pub struct SimCounters {
     /// (combinational gates × blocks).
     pub good_gate_evals: u64,
     /// Cone-propagation events: nodes drained from the levelized bucket
-    /// queue across all faults and blocks.
+    /// queue by the cone walks — one walk per fan-out-free-region stem
+    /// that some live fault reaches, plus one per two-seed fault, per
+    /// block. Equivalent faults reach the same stem in the same lanes, so
+    /// a collapsed universe walks exactly as much as the full one.
     pub cone_events: u64,
+    /// Per-fault grading work: the live faults graded per block (seed
+    /// words, the walk to the region's stem and the detection mask),
+    /// summed over blocks. This is what a collapsed universe saves.
+    pub fault_evals: u64,
 }
 
 /// The read-only context shared by every worker grading one pattern
@@ -149,7 +189,7 @@ pub trait WordFault: Copy + Send + Sync {
 
 /// Per-worker cone-propagation scratch: faulty value words, visitation
 /// stamps, and a levelized bucket queue ([`LevelQueue`]). Reused across
-/// every fault a worker grades — after warm-up the cone walk allocates
+/// every walk a worker runs — after warm-up a cone walk allocates
 /// nothing.
 #[derive(Debug)]
 struct ConeScratch {
@@ -210,11 +250,110 @@ impl Drop for ScratchLease<'_> {
     }
 }
 
+/// A still-undetected fault and, for the block being graded, the lanes
+/// its effect delivers to the seed of its cone walk.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    fault: u32,
+    /// Index of the fault's walk this block, or [`NO_WALK`].
+    walk: u32,
+    lanes: u64,
+}
+
+/// The block's cone walks, kept in the simulator so a steady-state block
+/// allocates nothing.
+#[derive(Debug)]
+struct Walks {
+    /// Per node: the index of its stem walk this block, or [`NO_WALK`].
+    /// Reset for every walked stem by [`Walks::seal`].
+    of_stem: Vec<u32>,
+    /// The cone walks: one per reached stem, one per two-seed fault. Until
+    /// [`Walks::seal`], a stem walk's seed word holds its lane union.
+    seeds: Vec<Seeds>,
+    /// Per walk: its detection mask (`obs`), filled by pass 2.
+    obs: Vec<u64>,
+}
+
+impl Walks {
+    /// Sized for one walk per stem of `ffr`, the most a block of
+    /// single-seed faults can open, so the walk list never regrows.
+    fn new(ffr: &[u32]) -> Self {
+        let stems = ffr.iter().filter(|&&gate| gate == NO_WALK).count();
+        Walks {
+            of_stem: vec![NO_WALK; ffr.len()],
+            seeds: Vec::with_capacity(stems),
+            obs: Vec::with_capacity(stems),
+        }
+    }
+
+    /// ORs `lanes` into `stem`'s lane union, opening its walk on first
+    /// reach; returns the walk's index.
+    fn reach(&mut self, stem: u32, lanes: u64) -> u32 {
+        let mut walk = self.of_stem[stem as usize];
+        if walk == NO_WALK {
+            walk = self.push(Seeds::one(stem, 0));
+            self.of_stem[stem as usize] = walk;
+        }
+        self.seeds[walk as usize].sites[0].1 |= lanes;
+        walk
+    }
+
+    /// Adds a walk of its own for a two-seed fault; returns its index.
+    fn push(&mut self, seeds: Seeds) -> u32 {
+        self.seeds.push(seeds);
+        (self.seeds.len() - 1) as u32
+    }
+
+    /// Ends pass 1: each stem walk flips its stem in exactly the lanes of
+    /// its union.
+    fn seal(&mut self, good: &[u64]) {
+        for seeds in &mut self.seeds {
+            if let [(stem, union)] = *seeds.as_slice() {
+                *seeds = Seeds::one(stem, good[stem as usize] ^ union);
+                self.of_stem[stem as usize] = NO_WALK;
+            }
+        }
+    }
+}
+
 impl BlockCtx<'_> {
+    /// Follows the fan-out-free region from `site`, whose faulty word is
+    /// `value`, towards its stem; returns the lanes whose difference
+    /// reaches the stem and the stem. Stops early, with no lanes, where
+    /// the difference dies on the path.
+    fn reach_stem(&self, ffr: &[u32], site: u32, value: u64) -> (u64, u32) {
+        let mut lanes = (value ^ self.good[site as usize]) & self.valid;
+        let mut node = site;
+        while lanes != 0 {
+            let gate = ffr[node as usize];
+            if gate == NO_WALK {
+                break;
+            }
+            lanes &= self.side_mask(gate as usize, node);
+            node = gate;
+        }
+        (lanes, node)
+    }
+
+    /// Lanes where `gate` passes a difference on its input `from`: its
+    /// other inputs hold the non-controlling value (AND/NAND, OR/NOR), or
+    /// always (XOR/XNOR/NOT/BUF). `from` feeds `gate` on exactly one pin.
+    fn side_mask(&self, gate: usize, from: u32) -> u64 {
+        let g = self.graph;
+        let Some(controlling) = g.kind(gate).controlling_value() else {
+            return !0;
+        };
+        let flip = if controlling { !0 } else { 0 };
+        g.fanin(gate)
+            .iter()
+            .filter(|&&f| f != from)
+            .fold(!0, |mask, &f| mask & (self.good[f as usize] ^ flip))
+    }
+
     /// Injects `seeds` and propagates through the union of the seeded
     /// sites' fan-out cones with the levelized bucket queue; returns the
-    /// mask of patterns detecting a difference at a primary output, or
-    /// `None`.
+    /// mask of valid patterns detecting a difference at a primary output
+    /// (`0` when none does).
     ///
     /// Draining buckets in ascending level order visits every reached
     /// node exactly once, after all of its fan-ins (which sit at strictly
@@ -223,9 +362,11 @@ impl BlockCtx<'_> {
     /// two seeds the wave starts at the lower of the two levels; the
     /// other seed site is already stamped, so its fan-out reads the
     /// faulty value exactly as if it had been drained.
-    fn try_detect(&self, scratch: &mut ConeScratch, seeds: Seeds) -> Option<u64> {
+    fn detect(&self, scratch: &mut ConeScratch, seeds: Seeds) -> u64 {
         let seeds = seeds.as_slice();
-        let &(first, _) = seeds.first()?;
+        let Some(&(first, _)) = seeds.first() else {
+            return 0;
+        };
         let g = self.graph;
 
         scratch.epoch = scratch.epoch.wrapping_add(1);
@@ -283,14 +424,15 @@ impl BlockCtx<'_> {
             }
             scratch.queue.restore(bucket);
         }
-        (detect != 0).then_some(detect)
+        detect
     }
 }
 
 /// The parallel-pattern single-fault-propagation simulator with fault
 /// dropping, for any [`WordFault`] model — the paper's stuck-at +
 /// stuck-open [`Fault`] universe by default. See the module docs for the
-/// division of labour between the engine and a model.
+/// division of labour between the engine and a model, and for the
+/// stem-region grading every single-site fault goes through.
 ///
 /// Create one per (circuit, fault universe) pair, feed it patterns with
 /// [`FaultSim::simulate`] — in one call or incrementally; the engine keeps
@@ -302,6 +444,9 @@ impl BlockCtx<'_> {
 pub struct FaultSim<'c, F = Fault> {
     circuit: &'c Circuit,
     graph: &'c SimGraph,
+    /// The circuit's fan-out-free-region links
+    /// ([`SimGraph::ffr_consumer`]).
+    ffr: &'c [u32],
     faults: Vec<F>,
     status: Vec<FaultStatus>,
     /// Global index of the first pattern that detected each fault.
@@ -318,15 +463,16 @@ pub struct FaultSim<'c, F = Fault> {
     good: Vec<u64>,
     prev: Vec<u64>,
     scratch: ConeScratch,
-    /// Indices of still-undetected faults, maintained incrementally
-    /// (swap-remove on detection). Rebuilt lazily after out-of-band status
-    /// edits ([`FaultSim::set_status`]).
-    live: Vec<u32>,
+    walks: Walks,
+    /// The still-undetected faults, in ascending order, maintained
+    /// incrementally (filtered on detection). Rebuilt lazily after
+    /// out-of-band status edits ([`FaultSim::set_status`]).
+    live: Vec<Live>,
     live_dirty: bool,
     /// Reused 64-pattern packing buffer (allocated on the first block).
     block_buf: Option<PatternBlock>,
-    /// Parked per-worker scratches for the sharded path: workers lease one
-    /// at block start and return it at the block barrier, so the warm
+    /// Parked per-worker scratches for the sharded walks: workers lease
+    /// one at block start and return it at the block barrier, so the warm
     /// buckets survive across blocks at every pool width.
     scratch_park: Mutex<Vec<ConeScratch>>,
     /// Number of combinational gates — the good-sim work per block.
@@ -352,6 +498,7 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
         FaultSim {
             circuit,
             graph,
+            ffr: graph.ffr_consumer(),
             faults,
             status: vec![FaultStatus::Undetected; len],
             first_detection: vec![None; len],
@@ -365,6 +512,7 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
             good: vec![0; n],
             prev: vec![0; n],
             scratch: ConeScratch::new(graph),
+            walks: Walks::new(graph.ffr_consumer()),
             live: Vec::with_capacity(len),
             live_dirty: true,
             block_buf: None,
@@ -450,13 +598,9 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
         100.0 * self.excited_count() as f64 / self.faults.len() as f64
     }
 
-    /// Number of patterns consumed so far.
-    pub fn patterns_seen(&self) -> u32 {
-        self.patterns_seen
-    }
-
     /// The work performed so far (blocks, good-machine gate evaluations,
-    /// cone events). Deterministic at every thread width.
+    /// cone events, fault evaluations). Deterministic at every thread
+    /// width.
     pub fn counters(&self) -> SimCounters {
         self.counters
     }
@@ -507,7 +651,12 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
             self.live.clear();
             self.live.extend(
                 (0..self.faults.len() as u32)
-                    .filter(|&fi| self.status[fi as usize] == FaultStatus::Undetected),
+                    .filter(|&fi| self.status[fi as usize] == FaultStatus::Undetected)
+                    .map(|fault| Live {
+                        fault,
+                        walk: NO_WALK,
+                        lanes: 0,
+                    }),
             );
             self.live_dirty = false;
         }
@@ -530,70 +679,73 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
             }
         }
 
-        let mut newly = 0;
+        // pass 1: each live fault's lanes to its stem walk (or its own
+        // walk, for two seeds)
+        let walks = &mut self.walks;
+        walks.seeds.clear();
+        for live in &mut self.live {
+            let seeds = self.faults[live.fault as usize].seeds(&ctx);
+            (live.lanes, live.walk) = match *seeds.as_slice() {
+                [] => (0, NO_WALK),
+                [(site, value)] => match ctx.reach_stem(self.ffr, site, value) {
+                    (0, _) => (0, NO_WALK),
+                    (lanes, stem) => (lanes, walks.reach(stem, lanes)),
+                },
+                _ => (!0, walks.push(seeds)),
+            };
+        }
+        walks.seal(ctx.good);
+
+        // pass 2: one cone walk each, sharded in contiguous chunks when
+        // there are enough of them; each worker leases a private scratch
+        // from the park, and the masks merge in walk order
+        walks.obs.clear();
         let workers = self.pool.threads().min(self.hw_threads);
-        let min_live = PAR_MIN_FAULTS.max(workers * PAR_MIN_FAULTS_PER_WORKER);
-        if self.pool.is_serial() || workers <= 1 || self.live.len() < min_live {
-            // inline path: one persistent scratch, exactly the historical
-            // serial engine; detected faults are swap-removed from the live
-            // list as they drop
-            let mut i = 0;
-            while i < self.live.len() {
-                let fi = self.live[i];
-                let fault = self.faults[fi as usize];
-                if let Some(mask) = ctx.try_detect(&mut self.scratch, fault.seeds(&ctx)) {
-                    self.status[fi as usize] = FaultStatus::Detected;
-                    self.first_detection[fi as usize] = Some(seen + mask.trailing_zeros());
-                    newly += 1;
-                    self.live.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            self.counters.cone_events += std::mem::take(&mut self.scratch.events);
-        } else {
-            // sharded path: contiguous fault partitions, one private
-            // scratch per worker — leased from the park so its warm
-            // buckets survive the block barrier — detection masks merged
-            // in fault order
+        if workers > 1 && walks.seeds.len() >= workers * PAR_MIN_WALKS_PER_WORKER {
             let graph = self.graph;
-            let faults = &self.faults;
             let park = &self.scratch_park;
-            let chunk = self
-                .live
-                .len()
-                .div_ceil(workers * 4)
-                .max(PAR_MIN_FAULTS / 4);
-            let detected: Vec<(Vec<(u32, u64)>, u64)> = self.pool.par_chunks_init(
-                &self.live,
+            let chunk = walks.seeds.len().div_ceil(workers * 4);
+            let shards: Vec<(Vec<u64>, u64)> = self.pool.par_chunks_init(
+                &walks.seeds,
                 chunk,
                 || ScratchLease::take(park, graph),
                 |lease, _chunk_index, part| {
                     let scratch = lease.scratch();
-                    let hits = part
-                        .iter()
-                        .filter_map(|&fi| {
-                            let fault = faults[fi as usize];
-                            ctx.try_detect(scratch, fault.seeds(&ctx))
-                                .map(|mask| (fi, mask))
-                        })
-                        .collect();
-                    (hits, std::mem::take(&mut scratch.events))
+                    let obs = part.iter().map(|&s| ctx.detect(scratch, s)).collect();
+                    (obs, std::mem::take(&mut scratch.events))
                 },
             );
-            for (hits, events) in detected {
+            for (obs, events) in shards {
+                walks.obs.extend(obs);
                 self.counters.cone_events += events;
-                for (fi, mask) in hits {
-                    self.status[fi as usize] = FaultStatus::Detected;
-                    self.first_detection[fi as usize] = Some(seen + mask.trailing_zeros());
-                    newly += 1;
-                }
             }
-            if newly > 0 {
-                let status = &self.status;
-                self.live
-                    .retain(|&fi| status[fi as usize] == FaultStatus::Undetected);
+        } else {
+            let scratch = &mut self.scratch;
+            walks
+                .obs
+                .extend(walks.seeds.iter().map(|&s| ctx.detect(scratch, s)));
+            self.counters.cone_events += std::mem::take(&mut scratch.events);
+        }
+
+        // pass 3: each fault's detection mask, in fault order
+        let mut newly = 0;
+        for live in &self.live {
+            let Some(&obs) = walks.obs.get(live.walk as usize) else {
+                continue;
+            };
+            let mask = live.lanes & obs;
+            if mask != 0 {
+                let fi = live.fault as usize;
+                self.status[fi] = FaultStatus::Detected;
+                self.first_detection[fi] = Some(seen + mask.trailing_zeros());
+                newly += 1;
             }
+        }
+        self.counters.fault_evals += self.live.len() as u64;
+        if newly > 0 {
+            let status = &self.status;
+            self.live
+                .retain(|live| status[live.fault as usize] == FaultStatus::Undetected);
         }
         self.patterns_seen += block.count() as u32;
         self.counters.blocks += 1;

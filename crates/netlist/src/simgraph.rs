@@ -59,6 +59,9 @@ pub struct SimGraph {
     num_levels: u32,
     /// Lazily built output distances (see [`SimGraph::po_distance`]).
     po_distance: OnceLock<Vec<u32>>,
+    /// Lazily built fan-out-free-region links (see
+    /// [`SimGraph::ffr_consumer`]).
+    ffr_consumer: OnceLock<Vec<u32>>,
 }
 
 impl SimGraph {
@@ -126,6 +129,7 @@ impl SimGraph {
             outputs: circuit.outputs().iter().map(|o| o.index() as u32).collect(),
             num_levels,
             po_distance: OnceLock::new(),
+            ffr_consumer: OnceLock::new(),
         }
     }
 
@@ -236,6 +240,37 @@ impl SimGraph {
                 }
             }
             dist
+        })
+    }
+
+    /// Fan-out-free-region links: for each node, the one combinational
+    /// gate it feeds, or `u32::MAX` where the node is a *stem*. A node is
+    /// a region member when it is not a primary output and its fan-out
+    /// list holds exactly one entry, a combinational gate; the list
+    /// counts duplicate pins, so a node feeding `AND(a, a)` is a stem.
+    /// Following the links from any node ends at its region's stem, and
+    /// every path from a region member to the rest of the circuit runs
+    /// along that chain. Built on first use and cached with the view.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let c17 = bist_netlist::iscas85::c17();
+    /// let ffr = c17.sim_graph().ffr_consumer();
+    /// let g1 = c17.find("G1").unwrap();
+    /// let g3 = c17.find("G3").unwrap();
+    /// let g10 = c17.find("G10").unwrap();
+    /// assert_eq!(ffr[g1.index()], g10.index() as u32); // G10 = NAND(G1, G3)
+    /// assert_eq!(ffr[g3.index()], u32::MAX); // G3 fans out to G10 and G11
+    /// ```
+    pub fn ffr_consumer(&self) -> &[u32] {
+        self.ffr_consumer.get_or_init(|| {
+            (0..self.num_nodes())
+                .map(|id| match *self.fanout(id) {
+                    [c] if !self.is_output[id] && self.kind[c as usize].is_combinational() => c,
+                    _ => u32::MAX,
+                })
+                .collect()
         })
     }
 
@@ -473,6 +508,29 @@ mod tests {
             let n2 = c.find("n2").expect("exists").index() as u32;
             assert_eq!(drained, vec![vec![n1], vec![n2]], "wave {wave}");
         }
+    }
+
+    #[test]
+    fn ffr_links_follow_single_fanout_edges() {
+        let c = sample();
+        let g = c.sim_graph();
+        let id = |name: &str| c.find(name).expect("exists").index();
+        let ffr = g.ffr_consumer();
+        assert_eq!(ffr[id("a")], u32::MAX, "a fans out to n1 and n2");
+        assert_eq!(ffr[id("b")], id("n1") as u32);
+        assert_eq!(ffr[id("c")], id("n2") as u32);
+        assert_eq!(ffr[id("n1")], id("n2") as u32);
+        assert_eq!(ffr[id("n2")], u32::MAX, "a primary output is a stem");
+        assert_eq!(ffr[id("n3")], u32::MAX, "no fan-out at all");
+
+        // a node feeding both pins of one gate is a stem
+        let mut b = CircuitBuilder::new("twin");
+        b.add_input("x").expect("fresh name");
+        b.add_gate("y", GateKind::And, &["x", "x"]).expect("gate");
+        b.mark_output("y").expect("exists");
+        let twin = b.build().expect("valid");
+        let x = twin.find("x").expect("exists").index();
+        assert_eq!(twin.sim_graph().ffr_consumer()[x], u32::MAX);
     }
 
     #[test]

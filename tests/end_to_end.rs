@@ -99,9 +99,10 @@ fn redundancy_creates_a_coverage_ceiling() {
 #[test]
 fn pseudo_random_phase_matches_software_model() {
     let c = iscas85::circuit("c499").unwrap();
-    let mut session = BistSession::new(&c, MixedSchemeConfig::default());
+    let config = MixedSchemeConfig::default();
+    let expected = pseudo_random_patterns(config.poly, c.inputs().len(), 40);
+    let mut session = BistSession::new(&c, config);
     let s = session.solve_at(40).unwrap();
-    let expected = session.pseudo_random_patterns(40);
     assert_eq!(s.generator.expected_random(), &expected[..]);
     let (random, _) = s.generator.replay();
     assert_eq!(random, expected);
