@@ -2,15 +2,15 @@
 //! TCP sockets get results byte-identical to one-shot local runs, the
 //! server-lifetime cache answers repeats without re-simulation,
 //! admission control rejects (never hangs) when the queue is full, an
-//! over-long request line is rejected without taking the daemon down,
-//! and a shutdown request drains in-flight jobs before `serve()`
-//! returns.
+//! over-long request line is rejected without taking the daemon down, a
+//! line just under the cap is answered promptly, and a shutdown request
+//! drains in-flight jobs before `serve()` returns.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bist_cli::commands::CommandError;
 use bist_cli::render::result_json;
@@ -403,6 +403,65 @@ fn an_over_long_request_line_is_rejected_and_the_daemon_keeps_serving() {
     let (solved, cached) = TestClient::connect(addr).run(solve_spec());
     assert!(!cached);
     assert!(solved.as_solve_at().is_some(), "c17 solve answered");
+
+    let mut control = TestClient::connect(addr);
+    control.send(&Request::Shutdown);
+    let Response::Stopping { .. } = control.next() else {
+        panic!("shutdown request answers with stopping");
+    };
+    server
+        .join()
+        .expect("serve thread")
+        .expect("graceful shutdown exits cleanly");
+}
+
+#[test]
+fn a_request_line_holding_one_long_string_is_answered_promptly() {
+    let (addr, server) = start(ServeConfig {
+        jobs: 1,
+        queue_capacity: 4,
+        retry_after_ms: 100,
+        ..ServeConfig::default()
+    });
+
+    // a line just under the cap whose spec is one JSON string: parsing
+    // it must take time linear in its length, not pin a reader thread
+    let head = r#"{"v":1,"type":"submit","spec":""#;
+    let tail = "\"}\n";
+    let mut line = String::with_capacity(MAX_REQUEST_LINE);
+    line.push_str(head);
+    line.push_str(&"A".repeat(MAX_REQUEST_LINE - head.len() - tail.len()));
+    line.push_str(tail);
+    assert_eq!(line.len(), MAX_REQUEST_LINE);
+
+    let mut hostile = TestClient::connect(addr);
+    hostile
+        .reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set a read timeout");
+    let start = Instant::now();
+    hostile
+        .writer
+        .write_all(line.as_bytes())
+        .and_then(|()| hostile.writer.flush())
+        .expect("send the line");
+    let mut answer = String::new();
+    hostile
+        .reader
+        .read_line(&mut answer)
+        .expect("the daemon answers within 5 s");
+    let elapsed = start.elapsed();
+    match wire::decode_response(answer.trim_end()).expect("response decodes") {
+        Response::Rejected { retry_after_ms, .. } => {
+            assert_eq!(retry_after_ms, None, "retrying cannot help");
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "answered after {elapsed:?}"
+    );
 
     let mut control = TestClient::connect(addr);
     control.send(&Request::Shutdown);

@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::OnceLock;
 
 use bist_lfsr::{Lfsr, Polynomial, ScanExpander};
 use bist_lfsrom::{next_state_network, SynthesizeLfsromError};
@@ -13,6 +14,8 @@ pub enum BuildMixedError {
     NoPatterns,
     /// Pattern width must be positive.
     ZeroWidth,
+    /// The LFSR polynomial has degree 0, so there is no LFSR to run.
+    ZeroDegreePoly,
     /// Deterministic pattern `index` has the wrong width.
     WidthMismatch {
         /// Offending pattern position.
@@ -31,6 +34,7 @@ impl fmt::Display for BuildMixedError {
         match self {
             BuildMixedError::NoPatterns => write!(f, "mixed scheme with p = 0 and d = 0"),
             BuildMixedError::ZeroWidth => write!(f, "pattern width must be positive"),
+            BuildMixedError::ZeroDegreePoly => write!(f, "LFSR polynomial has degree 0"),
             BuildMixedError::WidthMismatch {
                 index,
                 expected,
@@ -95,7 +99,11 @@ pub enum HandoverDecode {
 /// Per-bit multiplexers select the feedback source; a decoder plus a mode
 /// latch performs the switch.
 ///
-/// Every built generator carries its structural netlist;
+/// A generator is a pure function of its four inputs: width, polynomial,
+/// prefix length and deterministic suffix. [`MixedGenerator::build`]
+/// synthesizes the hardware at once; [`MixedGenerator::restore`] keeps
+/// only the inputs and synthesizes on first use of the hardware. Either
+/// way every generator carries its structural netlist, and
 /// [`MixedGenerator::verify`] replays it cycle-accurately and checks both
 /// phases bit-exactly.
 ///
@@ -117,6 +125,12 @@ pub struct MixedGenerator {
     poly: Polynomial,
     prefix_len: usize,
     deterministic: Vec<Pattern>,
+    hardware: OnceLock<Hardware>,
+}
+
+/// Everything synthesis derives from a generator's four inputs.
+#[derive(Debug, Clone)]
+struct Hardware {
     expected_random: Vec<Pattern>,
     codes: Vec<u64>,
     code_bits: usize,
@@ -127,84 +141,70 @@ pub struct MixedGenerator {
 impl MixedGenerator {
     /// Builds the mixed generator for a CUT with `width` primary inputs:
     /// `prefix_len` pseudo-random patterns from a Fibonacci LFSR on
-    /// `poly` (seed 1), then the `deterministic` sequence.
+    /// `poly` (seed 1), then the `deterministic` sequence. The hardware
+    /// (software model of the prefix, LFSROM network, netlist) is
+    /// synthesized before this returns.
     ///
     /// # Errors
     ///
     /// Returns [`BuildMixedError`] when both phases are empty, widths
-    /// mismatch, or LFSROM synthesis fails.
+    /// mismatch, the polynomial has degree 0, or LFSROM synthesis fails.
     pub fn build(
         width: usize,
         poly: Polynomial,
         prefix_len: usize,
         deterministic: &[Pattern],
     ) -> Result<Self, BuildMixedError> {
-        if width == 0 {
-            return Err(BuildMixedError::ZeroWidth);
-        }
-        if prefix_len == 0 && deterministic.is_empty() {
-            return Err(BuildMixedError::NoPatterns);
-        }
-        for (index, p) in deterministic.iter().enumerate() {
-            if p.len() != width {
-                return Err(BuildMixedError::WidthMismatch {
-                    index,
-                    expected: width,
-                    got: p.len(),
-                });
-            }
-        }
-        let k = poly.degree() as usize;
-
-        // software model of the pseudo-random phase
-        let mut expander = ScanExpander::new(Lfsr::fibonacci(poly, 1), width);
-        let expected_random = expander.patterns(prefix_len);
-        let handover_state = expander.lfsr_state();
-        let bridge = expander.chain();
-
-        // LFSROM next-state network over (bridge +) deterministic suffix
-        let (network, codes) = if deterministic.is_empty() {
-            (None, Vec::new())
-        } else {
-            let mut seq = Vec::with_capacity(deterministic.len() + 1);
-            if prefix_len > 0 {
-                seq.push(bridge);
-            }
-            seq.extend(deterministic.iter().cloned());
-            let (network, codes) = next_state_network(&seq)?;
-            (Some(network), codes)
-        };
-        let code_bits = network.as_ref().map_or(0, |net| net.width() - width);
-
-        let decode = if prefix_len == 0 || deterministic.is_empty() {
-            HandoverDecode::None
-        } else {
-            let clocks = (prefix_len * width) as u64;
-            let period = (1u64 << k) - 1;
-            if clocks <= period {
-                HandoverDecode::LfsrState {
-                    state: handover_state,
-                }
-            } else {
-                HandoverDecode::ClockCounter {
-                    count: clocks,
-                    bits: 64 - clocks.leading_zeros(),
-                }
-            }
-        };
-
-        let netlist = build_netlist(width, poly, prefix_len, network.as_ref(), code_bits, decode);
-
+        check_shape(width, poly, prefix_len, deterministic)?;
+        let hardware = synthesize(width, poly, prefix_len, deterministic)?;
         Ok(MixedGenerator {
             width,
             poly,
             prefix_len,
             deterministic: deterministic.to_vec(),
-            expected_random,
-            codes,
-            code_bits,
-            decode,
-            netlist,
+            hardware: OnceLock::from(hardware),
+        })
+    }
+
+    /// Restores a generator from the inputs a successful
+    /// [`MixedGenerator::build`] took, without synthesizing it. Runs the
+    /// same shape checks as `build` and nothing else; the hardware is
+    /// synthesized on first use of any accessor that needs it.
+    ///
+    /// Decoding stored results is what this is for: the inputs come from
+    /// a generator that was built once already, so synthesizing them
+    /// again cannot fail.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildMixedError`] when both phases are empty, widths
+    /// mismatch, or the polynomial has degree 0.
+    pub fn restore(
+        width: usize,
+        poly: Polynomial,
+        prefix_len: usize,
+        deterministic: &[Pattern],
+    ) -> Result<Self, BuildMixedError> {
+        check_shape(width, poly, prefix_len, deterministic)?;
+        Ok(MixedGenerator {
+            width,
+            poly,
+            prefix_len,
+            deterministic: deterministic.to_vec(),
+            hardware: OnceLock::new(),
+        })
+    }
+
+    /// The derived hardware, synthesized on first use.
+    fn hardware(&self) -> &Hardware {
+        self.hardware.get_or_init(|| {
+            // Only a restored generator gets here: `build` fills the lock.
+            // Synthesis fails only where `build` fails on the same four
+            // inputs, and `restore` takes the inputs of a successful
+            // `build` (the result cache and the wire store exactly those,
+            // under one `CACHE_SCHEMA_VERSION`), so this cannot fail.
+            synthesize(self.width, self.poly, self.prefix_len, &self.deterministic)
+                .expect("a restored generator's inputs were built once")
         })
     }
 
@@ -235,34 +235,34 @@ impl MixedGenerator {
 
     /// The pseudo-random patterns the hardware will emit (software model).
     pub fn expected_random(&self) -> &[Pattern] {
-        &self.expected_random
+        &self.hardware().expected_random
     }
 
     /// How the hand-over is decoded.
     pub fn decode(&self) -> HandoverDecode {
-        self.decode
+        self.hardware().decode
     }
 
     /// Number of disambiguation flip-flops in the LFSROM part.
     pub fn extra_flip_flops(&self) -> usize {
-        self.code_bits
+        self.hardware().code_bits
     }
 
     /// Per-step disambiguation codes of the LFSROM part (empty for pure
     /// pseudo-random generators). `codes()[0]` is the reset value of the
     /// disambiguation flip-flops of a pure-deterministic generator.
     pub fn codes(&self) -> &[u64] {
-        &self.codes
+        &self.hardware().codes
     }
 
     /// The structural netlist of the generator.
     pub fn netlist(&self) -> &Circuit {
-        &self.netlist
+        &self.hardware().netlist
     }
 
     /// The generator's standard-cell inventory.
     pub fn cells(&self) -> CellCount {
-        count_cells(&self.netlist)
+        count_cells(self.netlist())
     }
 
     /// Silicon area in mm² under `model`.
@@ -280,21 +280,22 @@ impl MixedGenerator {
     /// starts from it, and HDL emitters turn it into reset values so the
     /// synthesized module and the software model agree cycle for cycle.
     pub fn reset_states(&self) -> Vec<(NodeId, bool)> {
+        let hw = self.hardware();
         let mut values = Vec::new();
         if self.prefix_len > 0 {
-            let q0 = self.netlist.find("q0").expect("q0 exists");
+            let q0 = hw.netlist.find("q0").expect("q0 exists");
             values.push((q0, true));
         } else if let Some(first) = self.deterministic.first() {
             for b in 0..self.width {
-                let q = self
+                let q = hw
                     .netlist
                     .find(&format!("q{}", self.width - 1 - b))
                     .expect("pattern flip-flop exists");
                 values.push((q, first.get(b)));
             }
-            for cb in 0..self.code_bits {
-                let c = self.netlist.find(&format!("c{cb}")).expect("code FF");
-                values.push((c, (self.codes[0] >> cb) & 1 == 1));
+            for cb in 0..hw.code_bits {
+                let c = hw.netlist.find(&format!("c{cb}")).expect("code FF");
+                values.push((c, (hw.codes[0] >> cb) & 1 == 1));
             }
         }
         values
@@ -303,10 +304,11 @@ impl MixedGenerator {
     /// Clocks the netlist through both phases; returns the emitted
     /// (pseudo-random, deterministic) pattern sequences.
     pub fn replay(&self) -> (Vec<Pattern>, Vec<Pattern>) {
-        let mut sim = SeqSim::new(&self.netlist);
+        let netlist = self.netlist();
+        let mut sim = SeqSim::new(netlist);
         let pattern_ffs: Vec<NodeId> = (0..self.width)
             .map(|b| {
-                self.netlist
+                netlist
                     .find(&format!("q{}", self.width - 1 - b))
                     .expect("pattern flip-flop exists")
             })
@@ -344,8 +346,96 @@ impl MixedGenerator {
     /// software model / target sequence.
     pub fn verify(&self) -> bool {
         let (random, det) = self.replay();
-        random == self.expected_random && det == self.deterministic
+        random == self.expected_random() && det == self.deterministic
     }
+}
+
+/// The checks [`MixedGenerator::build`] and [`MixedGenerator::restore`]
+/// share: a positive width, an LFSR polynomial of positive degree, a
+/// non-empty mixed sequence, and a suffix of `width`-bit patterns.
+fn check_shape(
+    width: usize,
+    poly: Polynomial,
+    prefix_len: usize,
+    deterministic: &[Pattern],
+) -> Result<(), BuildMixedError> {
+    if width == 0 {
+        return Err(BuildMixedError::ZeroWidth);
+    }
+    if poly.degree() == 0 {
+        return Err(BuildMixedError::ZeroDegreePoly);
+    }
+    if prefix_len == 0 && deterministic.is_empty() {
+        return Err(BuildMixedError::NoPatterns);
+    }
+    for (index, p) in deterministic.iter().enumerate() {
+        if p.len() != width {
+            return Err(BuildMixedError::WidthMismatch {
+                index,
+                expected: width,
+                got: p.len(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Everything [`MixedGenerator::build`] derives from its four inputs:
+/// the LFSR expansion, the LFSROM next-state network and the netlist.
+fn synthesize(
+    width: usize,
+    poly: Polynomial,
+    prefix_len: usize,
+    deterministic: &[Pattern],
+) -> Result<Hardware, BuildMixedError> {
+    let k = poly.degree() as usize;
+
+    // software model of the pseudo-random phase
+    let mut expander = ScanExpander::new(Lfsr::fibonacci(poly, 1), width);
+    let expected_random = expander.patterns(prefix_len);
+    let handover_state = expander.lfsr_state();
+    let bridge = expander.chain();
+
+    // LFSROM next-state network over (bridge +) deterministic suffix
+    let (network, codes) = if deterministic.is_empty() {
+        (None, Vec::new())
+    } else {
+        let mut seq = Vec::with_capacity(deterministic.len() + 1);
+        if prefix_len > 0 {
+            seq.push(bridge);
+        }
+        seq.extend(deterministic.iter().cloned());
+        let (network, codes) = next_state_network(&seq)?;
+        (Some(network), codes)
+    };
+    let code_bits = network.as_ref().map_or(0, |net| net.width() - width);
+
+    let decode = if prefix_len == 0 || deterministic.is_empty() {
+        HandoverDecode::None
+    } else {
+        let clocks = (prefix_len * width) as u64;
+        let period = (1u64 << k) - 1;
+        if clocks <= period {
+            HandoverDecode::LfsrState {
+                state: handover_state,
+            }
+        } else {
+            HandoverDecode::ClockCounter {
+                count: clocks,
+                bits: 64 - clocks.leading_zeros(),
+            }
+        }
+    };
+
+    let netlist = build_netlist(width, poly, prefix_len, network.as_ref(), code_bits, decode);
+
+    Ok(Hardware {
+        expected_random,
+        codes,
+        code_bits,
+        decode,
+        netlist,
+    })
 }
 
 impl bist_tpg::Tpg for MixedGenerator {
@@ -362,7 +452,7 @@ impl bist_tpg::Tpg for MixedGenerator {
     }
 
     fn sequence(&self) -> Vec<Pattern> {
-        self.expected_random
+        self.expected_random()
             .iter()
             .chain(&self.deterministic)
             .cloned()
@@ -374,7 +464,7 @@ impl bist_tpg::Tpg for MixedGenerator {
     }
 
     fn netlist(&self) -> Option<&Circuit> {
-        Some(&self.netlist)
+        Some(MixedGenerator::netlist(self))
     }
 
     fn replay_netlist(&self) -> Option<Vec<Pattern>> {
@@ -576,6 +666,7 @@ mod tests {
         let det = random_patterns(&mut rng, 8, 6);
         let g = MixedGenerator::build(8, primitive_poly(8), 10, &det).expect("valid generator");
         assert!(g.verify());
+        assert_restores_identically(&g);
         assert_eq!(g.total_len(), 16);
         assert!(matches!(g.decode(), HandoverDecode::LfsrState { .. }));
     }
@@ -587,6 +678,7 @@ mod tests {
         let det = random_patterns(&mut rng, 24, 4);
         let g = MixedGenerator::build(24, primitive_poly(8), 12, &det).expect("valid generator");
         assert!(g.verify());
+        assert_restores_identically(&g);
     }
 
     #[test]
@@ -596,6 +688,7 @@ mod tests {
         let det = random_patterns(&mut rng, 5, 4);
         let g = MixedGenerator::build(5, paper_poly(), 8, &det).expect("valid generator");
         assert!(g.verify());
+        assert_restores_identically(&g);
     }
 
     #[test]
@@ -604,6 +697,7 @@ mod tests {
         let det = random_patterns(&mut rng, 10, 7);
         let g = MixedGenerator::build(10, paper_poly(), 0, &det).expect("valid generator");
         assert!(g.verify());
+        assert_restores_identically(&g);
         assert_eq!(g.decode(), HandoverDecode::None);
         let (random, replayed) = g.replay();
         assert!(random.is_empty());
@@ -614,6 +708,7 @@ mod tests {
     fn pure_pseudo_random_generator() {
         let g = MixedGenerator::build(12, primitive_poly(8), 20, &[]).expect("valid generator");
         assert!(g.verify());
+        assert_restores_identically(&g);
         assert_eq!(g.decode(), HandoverDecode::None);
         let (random, det) = g.replay();
         assert_eq!(random.len(), 20);
@@ -628,6 +723,7 @@ mod tests {
         let g = MixedGenerator::build(16, primitive_poly(6), 8, &det).expect("valid generator");
         assert!(matches!(g.decode(), HandoverDecode::ClockCounter { .. }));
         assert!(g.verify());
+        assert_restores_identically(&g);
     }
 
     #[test]
@@ -658,6 +754,57 @@ mod tests {
             MixedGenerator::build(8, paper_poly(), 4, &det),
             Err(BuildMixedError::WidthMismatch { index: 0, .. })
         ));
+    }
+
+    /// Asserts that a restored twin of `built` leaves its hardware
+    /// unsynthesized until asked, then derives exactly `built`'s.
+    fn assert_restores_identically(built: &MixedGenerator) {
+        assert!(built.hardware.get().is_some(), "build synthesizes eagerly");
+        let restored = MixedGenerator::restore(
+            built.width(),
+            built.poly(),
+            built.prefix_len(),
+            built.deterministic(),
+        )
+        .expect("a built generator's inputs restore");
+        assert!(
+            restored.hardware.get().is_none(),
+            "restore synthesizes nothing"
+        );
+        assert_eq!(restored.total_len(), built.total_len());
+        assert!(
+            restored.hardware.get().is_none(),
+            "inputs need no synthesis"
+        );
+        assert_eq!(
+            bist_netlist::bench::write(restored.netlist()),
+            bist_netlist::bench::write(built.netlist())
+        );
+        assert!(restored.hardware.get().is_some(), "first use synthesizes");
+        assert_eq!(restored.cells(), built.cells());
+        assert_eq!(restored.codes(), built.codes());
+        assert_eq!(restored.extra_flip_flops(), built.extra_flip_flops());
+        assert_eq!(restored.decode(), built.decode());
+        assert_eq!(restored.reset_states(), built.reset_states());
+        assert_eq!(restored.expected_random(), built.expected_random());
+        assert_eq!(restored.replay(), built.replay());
+        assert!(restored.verify());
+    }
+
+    #[test]
+    fn restore_runs_the_shape_checks_of_build() {
+        let det = [Pattern::zeros(5)];
+        let constant = Polynomial::from_mask(1);
+        for (width, poly, p, det) in [
+            (8, paper_poly(), 0, &[][..]),
+            (0, paper_poly(), 4, &[][..]),
+            (8, paper_poly(), 4, &det[..]),
+            (5, constant, 4, &det[..]),
+        ] {
+            let refused = MixedGenerator::restore(width, poly, p, det).err();
+            assert!(refused.is_some(), "width {width}, poly {poly}, p {p}");
+            assert_eq!(refused, MixedGenerator::build(width, poly, p, det).err());
+        }
     }
 
     #[test]

@@ -9,16 +9,20 @@
 //! * the verified [`MixedGenerator`] is *not* flattened into the file.
 //!   [`MixedGenerator::build`] is a pure function of
 //!   `(width, poly, prefix_len, deterministic)`, so the cache stores
-//!   exactly those inputs and rebuilds the generator (netlist, replay
-//!   model, hand-over decode and all) on load. That keeps cache entries
-//!   a few kilobytes instead of megabytes of netlist.
+//!   exactly those inputs, and decoding restores the generator from them
+//!   with [`MixedGenerator::restore`]. Nothing is synthesized on load:
+//!   the netlist, replay model and hand-over decode are synthesized on
+//!   first use of the hardware, which no cache hit or wire decode makes.
+//!   That keeps cache entries a few kilobytes instead of megabytes of
+//!   netlist, and a hit costs I/O and parsing, not synthesis.
 //!
 //! Decoding is total: any structural mismatch — truncated file, foreign
-//! layout, a generator that no longer rebuilds — returns `None` and the
-//! cache treats the entry as a miss. The layout is versioned by
-//! [`CACHE_SCHEMA_VERSION`]; bump it whenever this module (or anything
-//! a digest or encoding depends on) changes meaning, and every stale
-//! entry invalidates itself.
+//! layout, a generator that fails `restore`'s shape checks, a generator
+//! whose `prefix_len` or suffix length disagrees with its point —
+//! returns `None` and the cache treats the entry as a miss. The layout
+//! is versioned by [`CACHE_SCHEMA_VERSION`]; bump it whenever this
+//! module (or anything a digest or encoding depends on) changes
+//! meaning, and every stale entry invalidates itself.
 
 use bist_baselines::{Bakeoff, BakeoffRow};
 use bist_core::{MixedGenerator, MixedSolution, SessionStats, SweepSummary};
@@ -172,7 +176,7 @@ fn decode_solution(j: &Json) -> Option<MixedSolution> {
         .iter()
         .map(|p| p.as_str()?.parse().ok())
         .collect::<Option<_>>()?;
-    let generator = MixedGenerator::build(width, poly, prefix_len, &deterministic).ok()?;
+    let generator = MixedGenerator::restore(width, poly, prefix_len, &deterministic).ok()?;
 
     let solution = MixedSolution {
         prefix_len: j.get("prefix_len")?.as_usize()?,
@@ -183,7 +187,7 @@ fn decode_solution(j: &Json) -> Option<MixedSolution> {
         chip_area_mm2: j.get("chip_area_mm2")?.as_f64_bits()?,
         generator,
     };
-    // internal consistency: the rebuilt generator must implement the
+    // internal consistency: the restored generator must implement the
     // point the solution claims
     if solution.generator.prefix_len() != solution.prefix_len
         || solution.generator.deterministic().len() != solution.det_len
@@ -760,6 +764,67 @@ mod tests {
         assert_eq!(a.hi_pct.to_bits(), b.hi_pct.to_bits());
         assert_eq!(a.confidence, b.confidence);
         assert_eq!(a.seed, b.seed);
+    }
+
+    /// A c17 sweep entry (`bist sweep c17 --points 0,4,8`) as the cache
+    /// stored it when decoding still synthesized every generator; the
+    /// encoder has not changed since, so it must re-encode byte for byte.
+    const C17_SWEEP_ENTRY: &str = include_str!("../tests/fixtures/c17_sweep_entry.json");
+
+    #[test]
+    fn a_stored_entry_re_encodes_byte_identically_and_its_generators_verify() {
+        let doc = json::parse(C17_SWEEP_ENTRY).expect("valid JSON");
+        let decoded = decode_result(&doc).expect("the entry decodes");
+        assert_eq!(encode_result(&decoded).render_pretty(), C17_SWEEP_ENTRY);
+        let solutions = decoded.as_sweep().expect("sweep").summary.solutions();
+        assert_eq!(solutions.len(), 3);
+        for s in solutions {
+            assert!(s.generator.verify(), "p={}", s.prefix_len);
+        }
+    }
+
+    /// The first solved point (p = 0) of the stored c17 entry.
+    fn first_solution(doc: &mut Json) -> &mut Json {
+        match field(field(doc, "result"), "solutions") {
+            Json::Array(items) => &mut items[0],
+            _ => panic!("solutions is an array"),
+        }
+    }
+
+    /// Applies `edit` to the stored c17 entry; the edited entry must
+    /// still be valid JSON and decode to a miss.
+    fn assert_edit_is_a_miss(what: &str, edit: impl FnOnce(&mut Json)) {
+        let mut doc = json::parse(C17_SWEEP_ENTRY).expect("valid JSON");
+        edit(&mut doc);
+        let back = json::parse(&doc.render_pretty()).expect("still valid JSON");
+        assert!(decode_result(&back).is_none(), "{what} must be a miss");
+    }
+
+    #[test]
+    fn entries_whose_generators_fail_the_shape_checks_are_misses() {
+        assert_edit_is_a_miss("a deterministic pattern one bit short", |doc| {
+            let generator = field(first_solution(doc), "generator");
+            let Json::Array(det) = field(generator, "deterministic") else {
+                panic!("deterministic is an array");
+            };
+            det[3] = Json::str("0110");
+        });
+        // the point's own d agrees, so only the shape check can refuse it
+        assert_edit_is_a_miss("prefix_len 0 with an empty suffix", |doc| {
+            let solution = first_solution(doc);
+            *field(solution, "det_len") = Json::uint(0);
+            *field(field(solution, "generator"), "deterministic") = Json::Array(Vec::new());
+        });
+        assert_edit_is_a_miss("width 0", |doc| {
+            *field(field(first_solution(doc), "generator"), "width") = Json::uint(0);
+        });
+        assert_edit_is_a_miss("a polynomial of degree 0", |doc| {
+            let generator = field(first_solution(doc), "generator");
+            *field(generator, "poly") = Json::str("0000000000000001");
+        });
+        assert_edit_is_a_miss("a generator prefix_len that is not the point's", |doc| {
+            *field(field(first_solution(doc), "generator"), "prefix_len") = Json::uint(4);
+        });
     }
 
     #[test]

@@ -445,12 +445,17 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, JsonError> {
                 *at += 1;
             }
             Some(_) => {
-                // consume one UTF-8 scalar (input is &str, so boundaries
-                // are valid)
-                let rest = std::str::from_utf8(&bytes[*at..]).expect("valid UTF-8 tail");
-                let c = rest.chars().next().expect("non-empty tail");
-                out.push(c);
-                *at += c.len_utf8();
+                // copy the whole run up to the next `"` or `\`: both are
+                // ASCII, so the run ends on a character boundary
+                let rest = &bytes[*at..];
+                let len = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                let run = std::str::from_utf8(&rest[..len])
+                    .map_err(|_| err(*at, "string is not valid UTF-8"))?;
+                out.push_str(run);
+                *at += len;
             }
         }
     }
@@ -513,6 +518,22 @@ mod tests {
         // the documented bound itself is fine
         let deep = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(parse(&deep).is_ok());
+    }
+
+    #[test]
+    fn one_long_string_parses_in_linear_time() {
+        // a 4 MiB request line holding one string: a per-character
+        // re-validation of the tail would take minutes here
+        let payload = "A".repeat(4 << 20);
+        let text = format!("{{\"spec\": \"{payload}\\n\u{e9}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse(&text).expect("valid");
+        let elapsed = start.elapsed();
+        assert_eq!(
+            v.get("spec").and_then(Json::as_str).map(str::len),
+            Some(payload.len() + 3)
+        );
+        assert!(elapsed.as_secs_f64() < 1.0, "took {elapsed:?}");
     }
 
     #[test]

@@ -159,11 +159,6 @@ impl Seeds {
     pub fn as_slice(&self) -> &[(u32, u64)] {
         &self.sites[..self.len as usize]
     }
-
-    /// True when no site is seeded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// One fault of a word-parallel model: the only thing a model contributes

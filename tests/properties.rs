@@ -161,7 +161,8 @@ proptest! {
         prop_assert_eq!(generator.replay(seq.len()), seq);
     }
 
-    /// Mixed generators verify for arbitrary (p, d) splits.
+    /// Mixed generators verify for arbitrary (p, d) splits, and the
+    /// twin restored from the same inputs synthesizes the same hardware.
     #[test]
     fn mixed_generator_always_verifies(
         width in 3usize..14,
@@ -176,6 +177,13 @@ proptest! {
         let det: Vec<Pattern> = (0..d).map(|_| Pattern::random(&mut rng, width)).collect();
         let generator = MixedGenerator::build(width, primitive_poly(8), p, &det).unwrap();
         prop_assert!(generator.verify());
+        let restored = MixedGenerator::restore(width, primitive_poly(8), p, &det).unwrap();
+        prop_assert!(restored.verify());
+        prop_assert_eq!(
+            bist_netlist::bench::write(restored.netlist()),
+            bist_netlist::bench::write(generator.netlist())
+        );
+        prop_assert_eq!(restored.reset_states(), generator.reset_states());
     }
 
     /// Two-level synthesis honours every care minterm.
