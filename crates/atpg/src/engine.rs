@@ -278,12 +278,11 @@ impl<'c> TestGenerator<'c> {
             );
         }
 
-        // authoritative final grading of the emitted sequence
+        // authoritative final grading of the emitted sequence, in full
+        // 64-pattern blocks
         let mut final_session =
             FaultSim::new(circuit, faults.clone()).with_threads(options.threads);
-        for unit in &units {
-            final_session.simulate(&unit.patterns);
-        }
+        final_session.simulate(&flatten(&units, |unit| &unit.patterns));
         let mut statuses = final_session.statuses().to_vec();
         for (fi, status) in statuses.iter_mut().enumerate() {
             if *status == FaultStatus::Undetected {
@@ -471,6 +470,13 @@ fn open_fault_targets(
 /// prefix — if, through two-pattern adjacency effects, it detects fewer
 /// than `baseline_detected` faults of `faults`, the original is kept.
 /// `threads` is the grading pool width; the result does not depend on it.
+///
+/// Each pass grades its whole sequence in one call, in full 64-pattern
+/// blocks. The reverse pass keeps unit `k` exactly when some fault's
+/// first detection falls inside unit `k`'s patterns: that is when
+/// grading the units one at a time in the same order would have found
+/// something new in unit `k`, since the simulator carries the previous
+/// pattern across blocks and calls alike.
 pub fn compact<F: WordFault, U: Clone>(
     circuit: &Circuit,
     faults: &[F],
@@ -486,9 +492,20 @@ pub fn compact<F: WordFault, U: Clone>(
         sim
     };
     let mut reverse = replayed();
-    let mut keep = vec![false; units.len()];
+    reverse.simulate(&flatten(units.iter().rev(), &patterns));
+    // unit k's patterns start at ends[k] in the reversed sequence
+    let mut ends = vec![0u32; units.len() + 1];
     for (k, unit) in units.iter().enumerate().rev() {
-        keep[k] = reverse.simulate(patterns(unit)) > 0;
+        ends[k] = ends[k + 1] + patterns(unit).len() as u32;
+    }
+    let mut keep = vec![false; units.len()];
+    for fi in 0..faults.len() {
+        if let Some(at) = reverse.first_detection(fi) {
+            if let Some(rel) = at.checked_sub(prefix.len() as u32) {
+                // the unit whose range [ends[k + 1], ends[k]) holds rel
+                keep[ends.partition_point(|&end| end > rel) - 1] = true;
+            }
+        }
     }
     let compacted: Vec<U> = units
         .iter()
@@ -500,14 +517,20 @@ pub fn compact<F: WordFault, U: Clone>(
         return units;
     }
     let mut verify = replayed();
-    for unit in &compacted {
-        verify.simulate(patterns(unit));
-    }
+    verify.simulate(&flatten(&compacted, &patterns));
     if verify.report().detected >= baseline_detected {
         compacted
     } else {
         units
     }
+}
+
+/// The units' patterns, concatenated in order.
+fn flatten<'u, U: 'u>(
+    units: impl IntoIterator<Item = &'u U>,
+    patterns: impl Fn(&U) -> &[Pattern],
+) -> Vec<Pattern> {
+    units.into_iter().flat_map(patterns).cloned().collect()
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //! server-lifetime cache answers repeats without re-simulation,
 //! admission control rejects (never hangs) when the queue is full, an
 //! over-long request line is rejected without taking the daemon down, a
-//! line just under the cap is answered promptly, and a shutdown request
-//! drains in-flight jobs before `serve()` returns.
+//! line just under the cap is answered promptly, a spec with a degree-0
+//! LFSR polynomial fails alone, and a shutdown request drains in-flight
+//! jobs before `serve()` returns.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +17,9 @@ use bist_cli::commands::CommandError;
 use bist_cli::render::result_json;
 use bist_cli::serve::{ServeConfig, Server, MAX_REQUEST_LINE};
 use bist_engine::wire::{self, Request, Response};
-use bist_engine::{CircuitSource, Engine, FaultModel, JobResult, JobSpec, ResultCache};
+use bist_engine::{
+    CircuitSource, Engine, FaultModel, JobResult, JobSpec, MixedSchemeConfig, ResultCache,
+};
 
 fn fresh_dir(test: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -397,6 +400,60 @@ fn an_over_long_request_line_is_rejected_and_the_daemon_keeps_serving() {
     assert!(
         hostile.next_or_eof().is_none(),
         "the over-long connection is closed"
+    );
+
+    // another tenant is still served
+    let (solved, cached) = TestClient::connect(addr).run(solve_spec());
+    assert!(!cached);
+    assert!(solved.as_solve_at().is_some(), "c17 solve answered");
+
+    let mut control = TestClient::connect(addr);
+    control.send(&Request::Shutdown);
+    let Response::Stopping { .. } = control.next() else {
+        panic!("shutdown request answers with stopping");
+    };
+    server
+        .join()
+        .expect("serve thread")
+        .expect("graceful shutdown exits cleanly");
+}
+
+#[test]
+fn a_degree_0_polynomial_fails_its_job_and_the_daemon_keeps_serving() {
+    let (addr, server) = start(ServeConfig {
+        jobs: 1,
+        queue_capacity: 4,
+        retry_after_ms: 100,
+        ..ServeConfig::default()
+    });
+
+    // a hand-edited submit line: c17's solve with the constant polynomial
+    let line = wire::encode_request(&Request::Submit {
+        spec: Box::new(solve_spec()),
+    });
+    let poly = format!(r#""{:016x}""#, MixedSchemeConfig::default().poly.mask());
+    assert_eq!(
+        line.matches(&poly).count(),
+        1,
+        "one field holds the polynomial"
+    );
+    let line = line.replace(&poly, r#""0000000000000001""#) + "\n";
+    let mut tenant = TestClient::connect(addr);
+    tenant
+        .writer
+        .write_all(line.as_bytes())
+        .and_then(|()| tenant.writer.flush())
+        .expect("send the edited line");
+    let error = loop {
+        match tenant.next() {
+            Response::Accepted { .. } | Response::Event { .. } => {}
+            Response::Failed { error, .. } => break error,
+            other => panic!("unexpected response: {other:?}"),
+        }
+    };
+    assert!(
+        error.contains("degree 0"),
+        "the failure names the degree: {error}"
     );
 
     // another tenant is still served

@@ -131,7 +131,6 @@ pub struct MixedGenerator {
 /// Everything synthesis derives from a generator's four inputs.
 #[derive(Debug, Clone)]
 struct Hardware {
-    expected_random: Vec<Pattern>,
     codes: Vec<u64>,
     code_bits: usize,
     decode: HandoverDecode,
@@ -142,8 +141,9 @@ impl MixedGenerator {
     /// Builds the mixed generator for a CUT with `width` primary inputs:
     /// `prefix_len` pseudo-random patterns from a Fibonacci LFSR on
     /// `poly` (seed 1), then the `deterministic` sequence. The hardware
-    /// (software model of the prefix, LFSROM network, netlist) is
-    /// synthesized before this returns.
+    /// (hand-over decode, LFSROM network, netlist) is synthesized before
+    /// this returns; the prefix itself is not stored, and
+    /// [`MixedGenerator::expected_random`] expands it on demand.
     ///
     /// # Errors
     ///
@@ -233,9 +233,10 @@ impl MixedGenerator {
         self.prefix_len + self.deterministic.len()
     }
 
-    /// The pseudo-random patterns the hardware will emit (software model).
-    pub fn expected_random(&self) -> &[Pattern] {
-        &self.hardware().expected_random
+    /// The pseudo-random patterns the hardware will emit (software model),
+    /// expanded from the LFSR stream on each call.
+    pub fn expected_random(&self) -> Vec<Pattern> {
+        ScanExpander::new(Lfsr::fibonacci(self.poly, 1), self.width).patterns(self.prefix_len)
     }
 
     /// How the hand-over is decoded.
@@ -381,7 +382,7 @@ fn check_shape(
 }
 
 /// Everything [`MixedGenerator::build`] derives from its four inputs:
-/// the LFSR expansion, the LFSROM next-state network and the netlist.
+/// the hand-over decode, the LFSROM next-state network and the netlist.
 fn synthesize(
     width: usize,
     poly: Polynomial,
@@ -390,9 +391,12 @@ fn synthesize(
 ) -> Result<Hardware, BuildMixedError> {
     let k = poly.degree() as usize;
 
-    // software model of the pseudo-random phase
+    // the pseudo-random phase's end: the hand-over state and the last
+    // prefix pattern, which the LFSROM's first transition starts from
     let mut expander = ScanExpander::new(Lfsr::fibonacci(poly, 1), width);
-    let expected_random = expander.patterns(prefix_len);
+    for _ in 0..prefix_len {
+        expander.next_pattern();
+    }
     let handover_state = expander.lfsr_state();
     let bridge = expander.chain();
 
@@ -430,7 +434,6 @@ fn synthesize(
     let netlist = build_netlist(width, poly, prefix_len, network.as_ref(), code_bits, decode);
 
     Ok(Hardware {
-        expected_random,
         codes,
         code_bits,
         decode,
@@ -452,11 +455,9 @@ impl bist_tpg::Tpg for MixedGenerator {
     }
 
     fn sequence(&self) -> Vec<Pattern> {
-        self.expected_random()
-            .iter()
-            .chain(&self.deterministic)
-            .cloned()
-            .collect()
+        let mut sequence = self.expected_random();
+        sequence.extend_from_slice(&self.deterministic);
+        sequence
     }
 
     fn cells(&self) -> CellCount {

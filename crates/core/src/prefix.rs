@@ -86,9 +86,8 @@ impl<'c, F: WordFault> PrefixGrader<'c, F> {
     /// [`SessionStats::patterns_resimulated`] below it.
     pub fn statuses_at(&mut self, p: usize, stats: &mut SessionStats) -> Vec<FaultStatus> {
         if p >= self.front {
-            let chunk = self.expander.patterns(p - self.front);
-            self.sim.simulate(&chunk);
-            stats.patterns_simulated += chunk.len();
+            grade(&mut self.sim, &mut self.expander, p - self.front);
+            stats.patterns_simulated += p - self.front;
             self.front = p;
             self.sim.statuses().to_vec()
         } else {
@@ -119,7 +118,7 @@ impl<'c, F: WordFault> PrefixGrader<'c, F> {
     pub fn regrade(&self, p: usize, suffix: &[Pattern]) -> FaultSim<'c, F> {
         let mut sim = FaultSim::new(self.sim.circuit(), self.universe().iter().copied())
             .with_threads(self.sim.threads());
-        sim.simulate(&self.prefix(p));
+        grade(&mut sim, &mut self.origin.clone(), p);
         sim.simulate(suffix);
         sim
     }
@@ -127,6 +126,18 @@ impl<'c, F: WordFault> PrefixGrader<'c, F> {
     /// The first `p` patterns of the stream.
     pub fn prefix(&self, p: usize) -> Vec<Pattern> {
         self.origin.clone().patterns(p)
+    }
+}
+
+/// Grades the next `count` patterns of `stream` on `sim`, one 64-pattern
+/// block at a time: the blocks a single call over all of them forms,
+/// without holding more than one block of patterns.
+fn grade<F: WordFault>(sim: &mut FaultSim<'_, F>, stream: &mut ScanExpander, count: usize) {
+    let mut left = count;
+    while left > 0 {
+        let block = left.min(64);
+        sim.simulate(&stream.patterns(block));
+        left -= block;
     }
 }
 

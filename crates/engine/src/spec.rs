@@ -580,8 +580,8 @@ impl JobSpec {
         spec
     }
 
-    /// Checks the spec's own consistency — budgets, artefact
-    /// combinations — without realizing the circuit.
+    /// Checks the spec's own consistency — the LFSR polynomial, budgets,
+    /// artefact combinations — without realizing the circuit.
     ///
     /// # Errors
     ///
@@ -593,6 +593,12 @@ impl JobSpec {
                 message: message.to_owned(),
             })
         };
+        let degree = self.config().poly.degree();
+        if !(1..=63).contains(&degree) {
+            return invalid(&format!(
+                "poly has degree {degree}; an LFSR needs degree 1 to 63"
+            ));
+        }
         match self {
             JobSpec::Sweep(s) => {
                 if s.prefix_lengths.is_empty() {

@@ -459,3 +459,51 @@ fn inline_and_bench_sources_run_like_builtin_ones() {
         );
     }
 }
+
+#[test]
+fn every_job_kind_rejects_an_out_of_range_lfsr_polynomial() {
+    let c17 = || CircuitSource::iscas85("c17");
+    let specs = [
+        JobSpec::solve_at(c17(), 4),
+        JobSpec::sweep(c17(), [0, 8]),
+        JobSpec::coverage_curve(c17(), [8]),
+        JobSpec::bakeoff(c17(), 8),
+        JobSpec::emit_hdl(c17(), 4),
+        JobSpec::area_report(c17()),
+        JobSpec::lint(c17()),
+        JobSpec::estimate(c17(), 8),
+    ];
+    let engine = Engine::with_threads(1);
+    // degree 0: the constant 1, and the zero polynomial
+    for mask in [1u64, 0] {
+        for mut spec in specs.clone() {
+            let kind = spec.kind();
+            set_poly(&mut spec, bist_lfsr::Polynomial::from_mask(mask));
+            let err = engine
+                .run(spec)
+                .expect_err("a degree-0 polynomial is refused");
+            match err {
+                BistError::InvalidSpec { job, message } => {
+                    assert_eq!(job, kind);
+                    assert!(message.contains("degree 0"), "{kind}: {message}");
+                }
+                other => panic!("{kind}: expected InvalidSpec, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Sets the LFSR polynomial of any job kind's configuration.
+fn set_poly(spec: &mut JobSpec, poly: bist_lfsr::Polynomial) {
+    let config = match spec {
+        JobSpec::SolveAt(s) => &mut s.config,
+        JobSpec::Sweep(s) => &mut s.config,
+        JobSpec::CoverageCurve(s) => &mut s.config,
+        JobSpec::Bakeoff(s) => &mut s.config,
+        JobSpec::EmitHdl(s) => &mut s.config,
+        JobSpec::AreaReport(s) => &mut s.config,
+        JobSpec::Lint(s) => &mut s.config,
+        JobSpec::CoverageEstimate(s) => &mut s.config,
+    };
+    config.poly = poly;
+}

@@ -15,10 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use bist_core::MixedSchemeConfig;
+use bist_core::{MixedSchemeConfig, PrefixGrader, SessionStats};
 use bist_fault::{CollapsedUniverse, FaultStatus};
-use bist_faultsim::FaultSim;
-use bist_lfsr::pseudo_random_patterns;
 use bist_netlist::Circuit;
 
 /// One sampled coverage estimate with its confidence interval.
@@ -103,19 +101,12 @@ pub fn estimate_coverage(
         .iter()
         .map(|&r| universe.representatives().faults()[r])
         .collect();
-    let mut sim = FaultSim::new(circuit, subset).with_threads(config.threads);
-    sim.simulate(&pseudo_random_patterns(
-        config.poly,
-        circuit.inputs().len(),
-        prefix_len,
-    ));
+    let statuses = PrefixGrader::new(circuit, config, subset)
+        .statuses_at(prefix_len, &mut SessionStats::default());
 
     // status of each sampled full fault = its representative's status
-    let status_of_rep: BTreeMap<usize, FaultStatus> = rep_indices
-        .iter()
-        .enumerate()
-        .map(|(pos, &r)| (r, sim.status_of(pos)))
-        .collect();
+    let status_of_rep: BTreeMap<usize, FaultStatus> =
+        rep_indices.iter().copied().zip(statuses).collect();
     let detected_samples = sampled
         .iter()
         .filter(|&&i| status_of_rep[&universe.rep_of(i)] == FaultStatus::Detected)
@@ -230,6 +221,9 @@ fn wilson_interval(detected: usize, n: usize, z: f64) -> (f64, f64, f64) {
 
 #[cfg(test)]
 mod tests {
+    use bist_faultsim::FaultSim;
+    use bist_lfsr::pseudo_random_patterns;
+
     use super::*;
 
     #[test]

@@ -28,7 +28,7 @@
 //!    costs nothing more. The surviving `d` is OR-ed into the stem's lane
 //!    union.
 //! 2. **One cone walk per stem.** Each stem some live fault reaches gets
-//!    one levelized cone walk, seeded with `good[stem] ^ union[stem]`:
+//!    one cone walk, seeded with `good[stem] ^ union[stem]`:
 //!    the stem flipped in exactly the lanes that reach it. The walk's
 //!    detection mask is `obs[stem]`.
 //! 3. **Masks.** A fault's detection mask is `d & obs[stem]`.
@@ -60,7 +60,7 @@ use std::sync::Mutex;
 
 use bist_fault::{Fault, FaultStatus};
 use bist_logicsim::{Pattern, PatternBlock};
-use bist_netlist::{Circuit, GateKind, LevelQueue, SimGraph};
+use bist_netlist::{Circuit, GateKind, SimGraph};
 use bist_par::Pool;
 
 #[cfg(test)]
@@ -89,11 +89,11 @@ pub struct SimCounters {
     /// Gate evaluations performed by the good-machine simulation
     /// (combinational gates × blocks).
     pub good_gate_evals: u64,
-    /// Cone-propagation events: nodes drained from the levelized bucket
-    /// queue by the cone walks — one walk per fan-out-free-region stem
-    /// that some live fault reaches, plus one per two-seed fault, per
-    /// block. Equivalent faults reach the same stem in the same lanes, so
-    /// a collapsed universe walks exactly as much as the full one.
+    /// Cone-propagation events: nodes the cone walks evaluate — one walk
+    /// per fan-out-free-region stem that some live fault reaches, plus one
+    /// per two-seed fault, per block. Equivalent faults reach the same
+    /// stem in the same lanes, so a collapsed universe walks exactly as
+    /// much as the full one.
     pub cone_events: u64,
     /// Per-fault grading work: the live faults graded per block (seed
     /// words, the walk to the region's stem and the detection mask),
@@ -104,6 +104,8 @@ pub struct SimCounters {
 /// The read-only context shared by every worker grading one pattern
 /// block: the flattened circuit view, the good-machine and
 /// previous-pattern value words, and the block's valid-lane mask.
+/// The cone walks read the good words in topological-position order
+/// ([`SimGraph::walk_view`]), gathered once per block.
 ///
 /// Bit `j` of a value word is the node's value under pattern `j` of the
 /// block; bit `j` of [`BlockCtx::prev`] is the value under pattern `j-1`
@@ -121,6 +123,11 @@ pub struct BlockCtx<'a> {
     /// Mask of lanes carrying real patterns (a partial last block grades
     /// fewer than 64).
     pub valid: u64,
+    /// `good` by topological position.
+    good_pos: &'a [u64],
+    /// The block's number within its simulator: a scratch whose faulty
+    /// words hold another block's good words reloads them.
+    block: u64,
 }
 
 /// The faulty seed(s) of one fault for one block: up to two injection
@@ -182,19 +189,23 @@ pub trait WordFault: Copy + Send + Sync {
     }
 }
 
-/// Per-worker cone-propagation scratch: faulty value words, visitation
-/// stamps, and a levelized bucket queue ([`LevelQueue`]). Reused across
-/// every walk a worker runs — after warm-up a cone walk allocates
-/// nothing.
+/// Per-worker cone-propagation scratch: faulty value words by topological
+/// position, the wave's pending positions and the positions a walk
+/// wrote. Reused across every walk a worker runs — after warm-up a cone
+/// walk allocates nothing.
 #[derive(Debug)]
 struct ConeScratch {
-    /// Faulty value word per node, valid where `stamp == epoch`.
+    /// Faulty value word per position; outside a walk, the good word of
+    /// block [`ConeScratch::block`].
     fval: Vec<u64>,
-    /// Faulty-value validity stamp per node.
-    stamp: Vec<u32>,
-    epoch: u32,
-    queue: LevelQueue,
-    /// Nodes drained from the queue since the counter was last harvested.
+    /// The block whose good words `fval` holds (`u64::MAX`: none yet).
+    block: u64,
+    /// Pending positions of the running wave, one bit each; all clear
+    /// between walks.
+    pending: Vec<u64>,
+    /// Positions the running walk wrote, restored when it ends.
+    touched: Vec<u32>,
+    /// Nodes evaluated since the counter was last harvested.
     events: u64,
 }
 
@@ -203,11 +214,19 @@ impl ConeScratch {
         let n = graph.num_nodes();
         ConeScratch {
             fval: vec![0; n],
-            stamp: vec![0; n],
-            epoch: 0,
-            queue: LevelQueue::new(graph),
+            block: u64::MAX,
+            pending: vec![0; n.div_ceil(64)],
+            touched: Vec::new(),
             events: 0,
         }
+    }
+
+    /// Marks position `pos` pending; returns its word.
+    #[inline]
+    fn mark(&mut self, pos: u32) -> usize {
+        let word = pos as usize / 64;
+        self.pending[word] |= 1 << (pos % 64);
+        word
     }
 }
 
@@ -346,79 +365,78 @@ impl BlockCtx<'_> {
     }
 
     /// Injects `seeds` and propagates through the union of the seeded
-    /// sites' fan-out cones with the levelized bucket queue; returns the
-    /// mask of valid patterns detecting a difference at a primary output
-    /// (`0` when none does).
+    /// sites' fan-out cones; returns the mask of valid patterns detecting
+    /// a difference at a primary output (`0` when none does).
     ///
-    /// Draining buckets in ascending level order visits every reached
-    /// node exactly once, after all of its fan-ins (which sit at strictly
-    /// lower levels) are final — the same values, and therefore the same
-    /// detection masks, as any other topological evaluation order. With
-    /// two seeds the wave starts at the lower of the two levels; the
-    /// other seed site is already stamped, so its fan-out reads the
-    /// faulty value exactly as if it had been drained.
+    /// The walk is an event wave over topological positions
+    /// ([`SimGraph::walk_view`]): a node whose faulty word differs from
+    /// its good word marks its combinational consumers in a bitset, and
+    /// the wave pops the lowest pending position until none is left.
+    /// Every consumer sits above its fan-ins, so each mark lands above the
+    /// position being popped, and each reached node is evaluated once,
+    /// after all of its fan-ins are final — the values, and therefore the
+    /// detection masks, of any other topological order. The scratch's
+    /// faulty words equal the good ones outside a walk, so a fan-in is
+    /// read without asking whether the walk reached it; the walk lists
+    /// the positions it writes and restores them at the end. With two
+    /// seeds, a seed site the other seed reaches is evaluated like any
+    /// node and keeps its seed where the evaluation gives the good word.
     fn detect(&self, scratch: &mut ConeScratch, seeds: Seeds) -> u64 {
         let seeds = seeds.as_slice();
-        let Some(&(first, _)) = seeds.first() else {
+        if seeds.is_empty() {
             return 0;
-        };
-        let g = self.graph;
-
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            scratch.stamp.fill(0);
-            scratch.epoch = 1;
         }
-        let epoch = scratch.epoch;
+        let g = self.graph;
+        let walk = g.walk_view();
+        let good = self.good_pos;
+        if scratch.block != self.block {
+            scratch.fval.copy_from_slice(good);
+            scratch.block = self.block;
+        }
 
         let mut detect = 0u64;
-        let mut min_level = g.level(first as usize);
+        let (mut word, mut last) = (usize::MAX, 0);
         for &(site, seed) in seeds {
-            let site = site as usize;
-            scratch.fval[site] = seed;
-            scratch.stamp[site] = epoch;
-            if g.is_output(site) {
-                detect |= (seed ^ self.good[site]) & self.valid;
+            let pos = g.topo_pos(site as usize) as usize;
+            scratch.fval[pos] = seed;
+            scratch.touched.push(pos as u32);
+            if walk.is_output(pos) {
+                detect |= (seed ^ good[pos]) & self.valid;
             }
-            min_level = min_level.min(g.level(site));
-        }
-
-        scratch.queue.begin(min_level);
-        for &(site, _) in seeds {
-            for &s in g.fanout(site as usize) {
-                if g.kind(s as usize).is_combinational() {
-                    scratch.queue.push(s, g.level(s as usize));
-                }
+            for &c in walk.fanout(pos) {
+                let w = scratch.mark(c);
+                word = word.min(w);
+                last = last.max(w);
             }
         }
 
-        while let Some(bucket) = scratch.queue.take_bucket() {
-            scratch.events += bucket.len() as u64;
-            for &id in &bucket {
-                let id = id as usize;
-                let fv = g.eval_word(id, |f| {
-                    if scratch.stamp[f] == epoch {
-                        scratch.fval[f]
-                    } else {
-                        self.good[f]
-                    }
-                });
-                if fv == self.good[id] {
-                    continue; // fault effect died here
-                }
-                scratch.fval[id] = fv;
-                scratch.stamp[id] = epoch;
-                if g.is_output(id) {
-                    detect |= (fv ^ self.good[id]) & self.valid;
-                }
-                for &s in g.fanout(id) {
-                    if g.kind(s as usize).is_combinational() {
-                        scratch.queue.push(s, g.level(s as usize));
-                    }
-                }
+        while word <= last {
+            let bits = scratch.pending[word];
+            if bits == 0 {
+                word += 1;
+                continue;
             }
-            scratch.queue.restore(bucket);
+            scratch.pending[word] = bits & (bits - 1);
+            let pos = word * 64 + bits.trailing_zeros() as usize;
+            scratch.events += 1;
+            let fv = walk.eval_word(pos, |f| scratch.fval[f]);
+            if fv == good[pos] {
+                continue; // fault effect died here
+            }
+            scratch.fval[pos] = fv;
+            scratch.touched.push(pos as u32);
+            if walk.is_output(pos) {
+                detect |= (fv ^ good[pos]) & self.valid;
+            }
+            for &c in walk.fanout(pos) {
+                last = last.max(scratch.mark(c));
+            }
         }
+
+        for &pos in &scratch.touched {
+            scratch.fval[pos as usize] = good[pos as usize];
+        }
+        scratch.touched.clear();
         detect
     }
 }
@@ -457,6 +475,8 @@ pub struct FaultSim<'c, F = Fault> {
     // --- scratch buffers, reused across blocks ---
     good: Vec<u64>,
     prev: Vec<u64>,
+    /// `good` by topological position.
+    good_pos: Vec<u64>,
     scratch: ConeScratch,
     walks: Walks,
     /// The still-undetected faults, in ascending order, maintained
@@ -467,8 +487,8 @@ pub struct FaultSim<'c, F = Fault> {
     /// Reused 64-pattern packing buffer (allocated on the first block).
     block_buf: Option<PatternBlock>,
     /// Parked per-worker scratches for the sharded walks: workers lease
-    /// one at block start and return it at the block barrier, so the warm
-    /// buckets survive across blocks at every pool width.
+    /// one at block start and return it at the block barrier, so warm
+    /// scratches survive across blocks at every pool width.
     scratch_park: Mutex<Vec<ConeScratch>>,
     /// Number of combinational gates — the good-sim work per block.
     comb_gates: u64,
@@ -506,6 +526,7 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
             last_bits: vec![false; n],
             good: vec![0; n],
             prev: vec![0; n],
+            good_pos: vec![0; n],
             scratch: ConeScratch::new(graph),
             walks: Walks::new(graph.ffr_consumer()),
             live: Vec::with_capacity(len),
@@ -656,11 +677,16 @@ impl<'c, F: WordFault> FaultSim<'c, F> {
             self.live_dirty = false;
         }
 
+        for (word, &id) in self.good_pos.iter_mut().zip(self.graph.topo()) {
+            *word = self.good[id as usize];
+        }
         let ctx = BlockCtx {
             graph: self.graph,
             good: &self.good,
             prev: &self.prev,
             valid,
+            good_pos: &self.good_pos,
+            block: self.counters.blocks,
         };
         let seen = self.patterns_seen;
 

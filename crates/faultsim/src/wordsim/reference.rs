@@ -42,11 +42,14 @@ fn per_fault<F: WordFault>(circuit: &Circuit, faults: &[F], patterns: &[Pattern]
             .collect();
         let top = chunk.len() - 1;
         last = Some(good.iter().map(|&g| (g >> top) & 1).collect());
+        let good_pos: Vec<u64> = graph.topo().iter().map(|&id| good[id as usize]).collect();
         let ctx = BlockCtx {
             graph,
             good,
             prev: &prev,
             valid: block.valid_mask(),
+            good_pos: &good_pos,
+            block: b as u64,
         };
         for (fi, fault) in faults.iter().enumerate() {
             if F::TRACKS_EXCITATION && fault.excitation(&ctx) != 0 {

@@ -9,6 +9,9 @@
 //! * [`ScanExpander`] — scan-chain expansion of the serial stream into
 //!   test patterns of arbitrary width, the technique the paper cites
 //!   (\[Hel92\]) for circuits whose input count exceeds the LFSR length.
+//!   The register is modelled as a window onto one bit stream, produced 64
+//!   bits per step from byte-sliced leap tables; patterns are consecutive
+//!   `width`-bit cuts of that stream (see its "stream model" section).
 //! * [`lfsr_netlist`] — emits the LFSR as a structural netlist (D
 //!   flip-flops + XOR feedback) so the area model can cost it and
 //!   [`SeqSim`](bist_logicsim::SeqSim) can replay it.

@@ -42,5 +42,5 @@ mod seq;
 
 pub use fivevalue::{FiveValueSim, InjectedFault, V5};
 pub use packed::{eval_pattern, naive_eval, PackedSim};
-pub use pattern::{ParsePatternError, Pattern, PatternBlock};
+pub use pattern::{transpose64, ParsePatternError, Pattern, PatternBlock};
 pub use seq::SeqSim;

@@ -49,6 +49,25 @@ impl Pattern {
         p
     }
 
+    /// Builds a pattern from its bits packed 64 to a word, bit `i` at
+    /// `words[i / 64] >> (i % 64)` (the layout of [`Pattern::words`]).
+    /// Bits past `len` are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` does not hold exactly `len.div_ceil(64)` words.
+    pub fn from_words(len: usize, words: Vec<u64>) -> Self {
+        assert_eq!(
+            words.len(),
+            len.div_ceil(64),
+            "{len} bits take {} words",
+            len.div_ceil(64)
+        );
+        let mut p = Pattern { words, len };
+        p.mask_tail();
+        p
+    }
+
     /// Builds a pattern from a bit slice (`bits[i]` becomes bit `i`).
     pub fn from_bits(bits: &[bool]) -> Self {
         Pattern::from_fn(bits.len(), |i| bits[i])
@@ -212,9 +231,7 @@ impl PatternBlock {
         assert!(!patterns.is_empty(), "cannot pack zero patterns");
         assert!(patterns.len() <= 64, "a block holds at most 64 patterns");
         let width = circuit.inputs().len();
-        self.words.clear();
-        self.words.resize(width, 0);
-        for (j, p) in patterns.iter().enumerate() {
+        for p in patterns {
             assert_eq!(
                 p.len(),
                 width,
@@ -222,11 +239,18 @@ impl PatternBlock {
                 p.len(),
                 width
             );
-            for (i, word) in self.words.iter_mut().enumerate() {
-                if p.get(i) {
-                    *word |= 1 << j;
-                }
+        }
+        // one 64 × 64 tile per word of input positions: row j is pattern
+        // j's word, and the transpose turns it into one word per input
+        self.words.clear();
+        let mut tile = [0u64; 64];
+        for w in 0..width.div_ceil(64) {
+            tile.fill(0);
+            for (row, p) in tile.iter_mut().zip(patterns) {
+                *row = p.words[w];
             }
+            transpose64(&mut tile);
+            self.words.extend(&tile[..(width - 64 * w).min(64)]);
         }
         self.count = patterns.len();
     }
@@ -253,6 +277,24 @@ impl PatternBlock {
     /// All packed words, indexed by primary input position.
     pub fn input_words(&self) -> &[u64] {
         &self.words
+    }
+}
+
+/// Transposes a 64 × 64 bit matrix in place: bit `j` of word `i` moves to
+/// bit `i` of word `j`. Six rounds of block swaps, each exchanging the
+/// off-diagonal halves of every block (32 × 32 blocks first, then 16 ×
+/// 16, down to single bits).
+pub fn transpose64(m: &mut [u64; 64]) {
+    let mut span = 32;
+    let mut mask = 0x0000_0000_FFFF_FFFF_u64;
+    while span != 0 {
+        for i in (0..64).filter(|i| i & span == 0) {
+            let t = ((m[i] >> span) ^ m[i | span]) & mask;
+            m[i] ^= t << span;
+            m[i | span] ^= t;
+        }
+        span >>= 1;
+        mask ^= mask << span;
     }
 }
 
@@ -320,6 +362,67 @@ mod tests {
         assert_eq!(reused, PatternBlock::pack(&c17, &b));
         assert_eq!(reused.count(), 17);
         assert_eq!(reused.valid_mask(), (1u64 << 17) - 1);
+    }
+
+    #[test]
+    fn transpose64_moves_every_bit() {
+        let mut rng = StdRng::seed_from_u64(64);
+        let original: [u64; 64] = std::array::from_fn(|_| rng.gen());
+        let mut m = original;
+        transpose64(&mut m);
+        for (i, row) in original.iter().enumerate() {
+            for (j, col) in m.iter().enumerate() {
+                assert_eq!((row >> j) & 1, (col >> i) & 1, "bit ({i}, {j})");
+            }
+        }
+    }
+
+    /// The packing the tiled transpose replaced: one `get` per (pattern,
+    /// input).
+    fn pack_per_bit(width: usize, patterns: &[Pattern]) -> Vec<u64> {
+        (0..width)
+            .map(|i| {
+                patterns
+                    .iter()
+                    .enumerate()
+                    .fold(0, |word, (j, p)| word | (u64::from(p.get(i)) << j))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pack_into_equals_the_per_bit_loop() {
+        let mut rng = StdRng::seed_from_u64(0x7a11);
+        for width in [1usize, 63, 64, 65, 130] {
+            let mut b = bist_netlist::CircuitBuilder::new("wide");
+            for i in 0..width {
+                b.add_input(&format!("i{i}")).expect("fresh name");
+            }
+            b.add_gate("y", bist_netlist::GateKind::Buf, &["i0"])
+                .expect("gate");
+            b.mark_output("y").expect("exists");
+            let circuit = b.build().expect("valid");
+            let mut block = PatternBlock::pack(&circuit, &[Pattern::zeros(width)]);
+            for count in 1..=64 {
+                let ps: Vec<Pattern> = (0..count)
+                    .map(|_| Pattern::random(&mut rng, width))
+                    .collect();
+                block.pack_into(&circuit, &ps);
+                assert_eq!(
+                    block.input_words(),
+                    &pack_per_bit(width, &ps)[..],
+                    "width {width}, {count} patterns"
+                );
+                assert_eq!(block.count(), count);
+            }
+        }
+    }
+
+    #[test]
+    fn from_words_clears_bits_past_len() {
+        let p = Pattern::from_words(70, vec![!0, !0]);
+        assert_eq!(p.count_ones(), 70);
+        assert_eq!(p, Pattern::from_fn(70, |_| true));
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub use builder::CircuitBuilder;
 pub use circuit::{Circuit, Node, NodeId};
 pub use error::{BuildCircuitError, ParseBenchError};
 pub use gate::GateKind;
-pub use simgraph::{LevelQueue, SimGraph};
+pub use simgraph::{SimGraph, WalkView};
 pub use stats::CircuitStats;

@@ -10,7 +10,9 @@
 //! simulation engine in the workspace (packed good-machine simulation,
 //! PPSFP cone propagation, the five-valued ATPG implication walk, the
 //! sequential replay engine) reads this one layout, so a cache line fetched
-//! for one consumer is warm for the next.
+//! for one consumer is warm for the next. The cone walks read a second
+//! layout built from it, [`WalkView`]: the same graph renumbered by
+//! topological position.
 //!
 //! The view is built once per circuit on first use and cached inside the
 //! [`Circuit`] (see [`Circuit::sim_graph`]); it is a pure re-indexing of
@@ -62,6 +64,8 @@ pub struct SimGraph {
     /// Lazily built fan-out-free-region links (see
     /// [`SimGraph::ffr_consumer`]).
     ffr_consumer: OnceLock<Vec<u32>>,
+    /// Lazily built position-ordered view (see [`SimGraph::walk_view`]).
+    walk_view: OnceLock<WalkView>,
 }
 
 impl SimGraph {
@@ -130,6 +134,7 @@ impl SimGraph {
             num_levels,
             po_distance: OnceLock::new(),
             ffr_consumer: OnceLock::new(),
+            walk_view: OnceLock::new(),
         }
     }
 
@@ -150,8 +155,7 @@ impl SimGraph {
         self.level[id]
     }
 
-    /// Number of distinct logic levels (`depth + 1`) — the bucket count a
-    /// levelized event queue needs.
+    /// Number of distinct logic levels (`depth + 1`).
     #[inline]
     pub fn num_levels(&self) -> u32 {
         self.num_levels
@@ -274,6 +278,28 @@ impl SimGraph {
         })
     }
 
+    /// The graph renumbered by topological position ([`SimGraph::topo`],
+    /// [`SimGraph::topo_pos`]), for event waves that drain a bitset of
+    /// positions in ascending order. Built on first use and cached with
+    /// the view.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// let c17 = bist_netlist::iscas85::c17();
+    /// let g = c17.sim_graph();
+    /// let walk = g.walk_view();
+    /// let g10 = c17.find("G10").unwrap().index();
+    /// let pos = g.topo_pos(g10) as usize;
+    /// // G10 = NAND(G1, G3): its fan-ins, by position, sit before it
+    /// let fanin: Vec<usize> = walk.fanin(pos).iter().map(|&p| g.topo()[p as usize] as usize).collect();
+    /// assert_eq!(fanin, [c17.find("G1").unwrap().index(), c17.find("G3").unwrap().index()]);
+    /// assert!(walk.fanin(pos).iter().all(|&p| (p as usize) < pos));
+    /// ```
+    pub fn walk_view(&self) -> &WalkView {
+        self.walk_view.get_or_init(|| WalkView::build(self))
+    }
+
     /// Evaluates the combinational gate `id` bit-parallel, reading fan-in
     /// value words through `get`. Dispatches a specialized two-input fast
     /// path (the overwhelming majority of benchmark gates) before the
@@ -284,12 +310,7 @@ impl SimGraph {
     /// Panics if `id` is a source node (input / flip-flop).
     #[inline]
     pub fn eval_word(&self, id: usize, get: impl Fn(usize) -> u64) -> u64 {
-        let kind = self.kind[id];
-        match *self.fanin(id) {
-            [a] => kind.eval_word1(get(a as usize)),
-            [a, b] => kind.eval_word2(get(a as usize), get(b as usize)),
-            ref fanin => kind.eval_word_iter(fanin.iter().map(|&f| get(f as usize))),
-        }
+        eval_word(self.kind[id], self.fanin(id), get)
     }
 
     /// Boolean counterpart of [`SimGraph::eval_word`] for the scalar
@@ -304,110 +325,95 @@ impl SimGraph {
     }
 }
 
-/// Reusable levelized event queue over one [`SimGraph`]: one bucket of
-/// pending node indices per logic level, epoch-stamped membership dedup,
-/// drained in strictly ascending level order.
-///
-/// This is the scheduling structure of PPSFP fault propagation: because
-/// every fan-in of a node sits at a strictly lower level, draining level
-/// by level evaluates each reached node exactly once, after all of its
-/// producers are final — the same values as any other topological order,
-/// without a heap's `O(log n)` per event. All storage (buckets, stamps)
-/// is reused across waves; after warm-up a wave allocates nothing.
-///
-/// Usage per wave:
-///
-/// 1. [`LevelQueue::begin`] at the seed's level,
-/// 2. [`LevelQueue::push`] the seed's fan-out (each node with its level),
-/// 3. repeatedly [`LevelQueue::take_bucket`], walk the returned nodes
-///    (pushing their fan-outs as values change), and hand the storage
-///    back with [`LevelQueue::restore`].
+/// A [`SimGraph`] renumbered by topological position: gate kind, output
+/// flag, fan-in positions and combinational fan-out positions, each
+/// indexed by position. Every consumer sits at a higher position than
+/// its fan-ins, so a wave that marks consumers in a bitset and pops the
+/// lowest pending position evaluates each reached node once, after all
+/// of its fan-ins settled, and walks its value words in memory order.
+/// Obtain via [`SimGraph::walk_view`]; map node ids with
+/// [`SimGraph::topo_pos`] and back with [`SimGraph::topo`].
 #[derive(Debug, Clone)]
-pub struct LevelQueue {
-    buckets: Vec<Vec<u32>>,
-    /// Membership stamp per node: queued this wave iff `enq[id] == epoch`.
-    enq: Vec<u32>,
-    epoch: u32,
-    /// Nodes currently enqueued and not yet taken.
-    pending: usize,
-    /// The scan resumes here; levels below are already drained.
-    cursor: usize,
-    /// Level slot of the bucket handed out by the last `take_bucket`.
-    taken_level: usize,
+pub struct WalkView {
+    kind: Vec<GateKind>,
+    is_output: Vec<bool>,
+    fanin_off: Vec<u32>,
+    fanin: Vec<u32>,
+    fanout_off: Vec<u32>,
+    fanout: Vec<u32>,
 }
 
-impl LevelQueue {
-    /// Creates an empty queue shaped for `graph`.
-    pub fn new(graph: &SimGraph) -> Self {
-        LevelQueue {
-            buckets: vec![Vec::new(); graph.num_levels() as usize],
-            enq: vec![0; graph.num_nodes()],
-            epoch: 0,
-            pending: 0,
-            cursor: 0,
-            taken_level: 0,
+impl WalkView {
+    fn build(g: &SimGraph) -> Self {
+        let n = g.num_nodes();
+        let pos = |id: u32| g.topo_pos[id as usize];
+        let mut view = WalkView {
+            kind: Vec::with_capacity(n),
+            is_output: Vec::with_capacity(n),
+            fanin_off: Vec::with_capacity(n + 1),
+            fanin: Vec::with_capacity(g.fanin.len()),
+            fanout_off: Vec::with_capacity(n + 1),
+            fanout: Vec::with_capacity(g.fanout.len()),
+        };
+        view.fanin_off.push(0);
+        view.fanout_off.push(0);
+        for &id in &g.topo {
+            let id = id as usize;
+            view.kind.push(g.kind[id]);
+            view.is_output.push(g.is_output[id]);
+            view.fanin.extend(g.fanin(id).iter().map(|&f| pos(f)));
+            view.fanin_off.push(view.fanin.len() as u32);
+            view.fanout.extend(
+                g.fanout(id)
+                    .iter()
+                    .filter(|&&c| g.kind[c as usize].is_combinational())
+                    .map(|&c| pos(c)),
+            );
+            view.fanout_off.push(view.fanout.len() as u32);
         }
+        view
     }
 
-    /// Starts a new wave whose pushes are all at levels `> level`. Clears
-    /// the previous wave's membership stamps in O(1) (an epoch bump; the
-    /// stamp array is only rewritten when the epoch wraps).
-    ///
-    /// The queue must be drained (`take_bucket` returned `None`, or the
-    /// previous wave never pushed) — draining is what leaves the buckets
-    /// empty for reuse.
-    pub fn begin(&mut self, level: u32) {
-        debug_assert_eq!(self.pending, 0, "begin on an undrained queue");
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.enq.fill(0);
-            self.epoch = 1;
-        }
-        self.cursor = level as usize + 1;
-    }
-
-    /// Enqueues node `id` at `level` unless it is already queued this
-    /// wave; returns whether it was accepted. Callers filter out nodes
-    /// that must not be scheduled (sources — their level would violate
-    /// the ascending-drain invariant).
+    /// True if the node at position `pos` is a primary output.
     #[inline]
-    pub fn push(&mut self, id: u32, level: u32) -> bool {
-        debug_assert!(
-            level as usize >= self.cursor,
-            "push below the drain cursor breaks the ascending-level invariant"
-        );
-        let slot = &mut self.enq[id as usize];
-        if *slot == self.epoch {
-            return false;
-        }
-        *slot = self.epoch;
-        self.buckets[level as usize].push(id);
-        self.pending += 1;
-        true
+    pub fn is_output(&self, pos: usize) -> bool {
+        self.is_output[pos]
     }
 
-    /// Detaches the next non-empty bucket in ascending level order, or
-    /// `None` when the wave is drained. Return the storage via
-    /// [`LevelQueue::restore`] before the next `take_bucket`.
-    pub fn take_bucket(&mut self) -> Option<Vec<u32>> {
-        if self.pending == 0 {
-            return None;
-        }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        self.taken_level = self.cursor;
-        self.cursor += 1;
-        let bucket = std::mem::take(&mut self.buckets[self.taken_level]);
-        self.pending -= bucket.len();
-        Some(bucket)
+    /// Fan-in positions of the node at `pos`, in pin order.
+    #[inline]
+    pub fn fanin(&self, pos: usize) -> &[u32] {
+        &self.fanin[self.fanin_off[pos] as usize..self.fanin_off[pos + 1] as usize]
     }
 
-    /// Hands a drained bucket's storage back to its slot (cleared,
-    /// capacity kept), so the next wave reuses the allocation.
-    pub fn restore(&mut self, mut bucket: Vec<u32>) {
-        bucket.clear();
-        self.buckets[self.taken_level] = bucket;
+    /// Positions of the combinational gates the node at `pos` feeds (each
+    /// once per pin it drives); flip-flops are left out.
+    #[inline]
+    pub fn fanout(&self, pos: usize) -> &[u32] {
+        &self.fanout[self.fanout_off[pos] as usize..self.fanout_off[pos + 1] as usize]
+    }
+
+    /// [`SimGraph::eval_word`] by position: evaluates the combinational
+    /// gate at `pos`, reading fan-in value words by position through
+    /// `get`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node at `pos` is a source node (input / flip-flop).
+    #[inline]
+    pub fn eval_word(&self, pos: usize, get: impl Fn(usize) -> u64) -> u64 {
+        eval_word(self.kind[pos], self.fanin(pos), get)
+    }
+}
+
+/// Evaluates a `kind` gate over the value words `get` reads for `fanin`:
+/// one- and two-input fast paths, then the generic fold.
+#[inline]
+fn eval_word(kind: GateKind, fanin: &[u32], get: impl Fn(usize) -> u64) -> u64 {
+    match *fanin {
+        [a] => kind.eval_word1(get(a as usize)),
+        [a, b] => kind.eval_word2(get(a as usize), get(b as usize)),
+        ref fanin => kind.eval_word_iter(fanin.iter().map(|&f| get(f as usize))),
     }
 }
 
@@ -486,27 +492,31 @@ mod tests {
     }
 
     #[test]
-    fn level_queue_drains_ascending_with_dedup() {
+    fn walk_view_renumbers_by_topological_position() {
         let c = sample();
         let g = c.sim_graph();
-        let mut q = crate::LevelQueue::new(g);
-        for wave in 0..3 {
-            // seed from input "a" (level 0): fanout is n1 (level 1) and
-            // n2 (level 2); push n1 twice to exercise the stamp dedup
-            let a = c.find("a").expect("exists").index();
-            q.begin(g.level(a));
-            for &s in g.fanout(a) {
-                q.push(s, g.level(s as usize));
+        let walk = g.walk_view();
+        let vals: Vec<u64> = (0..c.num_nodes() as u64).map(|i| i * 0x9E37).collect();
+        for (pos, &id) in g.topo().iter().enumerate() {
+            let id = id as usize;
+            let at = |p: &u32| g.topo()[*p as usize] as usize;
+            assert_eq!(
+                walk.fanin(pos).iter().map(at).collect::<Vec<_>>(),
+                g.fanin(id).iter().map(|&f| f as usize).collect::<Vec<_>>()
+            );
+            assert!(walk.fanin(pos).iter().all(|&p| (p as usize) < pos));
+            let comb: Vec<usize> = g
+                .fanout(id)
+                .iter()
+                .map(|&s| s as usize)
+                .filter(|&s| g.kind(s).is_combinational())
+                .collect();
+            assert_eq!(walk.fanout(pos).iter().map(at).collect::<Vec<_>>(), comb);
+            assert_eq!(walk.is_output(pos), g.is_output(id));
+            if g.kind(id).is_combinational() {
+                let by_pos = |p: usize| vals[g.topo()[p] as usize];
+                assert_eq!(walk.eval_word(pos, by_pos), g.eval_word(id, |f| vals[f]));
             }
-            let n1 = c.find("n1").expect("exists").index() as u32;
-            assert!(!q.push(n1, 1), "duplicate push must be rejected");
-            let mut drained: Vec<Vec<u32>> = Vec::new();
-            while let Some(bucket) = q.take_bucket() {
-                drained.push(bucket.clone());
-                q.restore(bucket);
-            }
-            let n2 = c.find("n2").expect("exists").index() as u32;
-            assert_eq!(drained, vec![vec![n1], vec![n2]], "wave {wave}");
         }
     }
 
