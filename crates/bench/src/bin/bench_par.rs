@@ -30,6 +30,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use bist_bench::schema::SCHEMA_VERSION;
 use bist_bench::{banner, ExperimentArgs};
 use bist_core::prelude::*;
 use bist_engine::{CoverageCurveSpec, Engine, JobSpec};
@@ -47,7 +48,9 @@ fn main() {
         "BENCH par",
         "PPSFP fault-simulation scaling across pool widths",
     );
-    let args = ExperimentArgs::parse(&["c432", "c3540"]);
+    // c432's blocks never reach the sharding cutoff, so its row would
+    // time the inline fallback at every width
+    let args = ExperimentArgs::parse(&["c3540", "c5315"]);
     args.warn_fixed_format("bench_par");
     let budget = if args.quick { 500 } else { 2000 };
     let max_threads = if args.threads > 0 {
@@ -174,6 +177,7 @@ fn main() {
 fn render_json(budget: usize, results: &[CircuitScaling]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"experiment\": \"par_scaling\",\n");
+    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
     let _ = writeln!(out, "  \"pattern_budget\": {budget},");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in results.iter().enumerate() {

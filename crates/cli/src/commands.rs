@@ -1,11 +1,9 @@
 //! One function per subcommand, plus the dispatcher the binary calls.
 
-use std::time::Duration;
-
 use bist_engine::json::Json;
 use bist_engine::{
-    AreaReportSpec, BakeoffSpec, BistError, CoverageCurveSpec, EmitHdlSpec, Engine, EstimateSpec,
-    FaultModel, HdlLanguage, JobHandle, JobResult, JobSpec, LintSpec, ResultCache, SolveAtSpec,
+    AreaReportSpec, BakeoffSpec, BistError, CancelToken, CoverageCurveSpec, EmitHdlSpec, Engine,
+    EstimateSpec, FaultModel, HdlLanguage, JobResult, JobSpec, LintSpec, ResultCache, SolveAtSpec,
     SweepSpec, DEFAULT_ESTIMATE_CONFIDENCE, DEFAULT_ESTIMATE_SAMPLES, DEFAULT_ESTIMATE_SEED,
 };
 
@@ -594,47 +592,18 @@ fn build_engine(opts: &CommonOpts, threads: usize) -> (Engine, Option<ResultCach
     (engine, cache)
 }
 
-/// Submits a batch asynchronously and streams progress events to
-/// stderr from the per-job handle feeds while the jobs run — blocking
-/// on [`ProgressFeed`](bist_engine::ProgressFeed)`::poll_timeout`
-/// between events rather than busy-polling.
+/// Runs a batch on this thread, printing each progress event to stderr
+/// as it happens (nothing under `--quiet`).
 fn run_with_progress(
     engine: &Engine,
     specs: Vec<JobSpec>,
     quiet: bool,
 ) -> Vec<Result<JobResult, BistError>> {
-    let handles = engine.submit_batch(specs);
-    if quiet {
-        return handles.into_iter().map(JobHandle::wait).collect();
-    }
-    let feeds: Vec<_> = handles.iter().map(|h| h.progress().clone()).collect();
-    loop {
-        let mut printed = false;
-        for feed in &feeds {
-            for event in feed.drain() {
-                eprintln!("{}", event_line(&event));
-                printed = true;
-            }
-        }
-        if handles.iter().all(JobHandle::is_finished) {
-            break;
-        }
-        if !printed {
-            // nothing pending anywhere: park on the first unfinished
-            // job's feed until an event (or its completion) wakes us
-            if let Some(handle) = handles.iter().find(|h| !h.is_finished()) {
-                if let Some(event) = handle.progress().poll_timeout(Duration::from_millis(50)) {
-                    eprintln!("{}", event_line(&event));
-                }
-            }
-        }
-    }
-    for feed in &feeds {
-        for event in feed.drain() {
+    engine.run_batch_with(specs, &CancelToken::new(), &|event| {
+        if !quiet {
             eprintln!("{}", event_line(&event));
         }
-    }
-    handles.into_iter().map(JobHandle::wait).collect()
+    })
 }
 
 /// The greppable cache summary CI asserts on (stderr, one line).

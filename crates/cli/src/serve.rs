@@ -14,23 +14,27 @@
 //! submission is *rejected* with a suggested retry delay, never
 //! silently parked. A [`Request::Shutdown`] stops admission and drains
 //! every queued and in-flight job before [`Server::serve`] returns.
+//!
+//! Each job runs on the worker that pops it, and its progress sink
+//! writes every event straight to the client. A write that fails means
+//! the client has gone, so the sink cancels the job, which stops at its
+//! next checkpoint and frees the worker. Nothing on this path waits on a
+//! timer: acceptors block in `accept`, readers in `read`, workers on the
+//! scheduler's condvar.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bist_engine::wire::{self, Request, Response, ServerStats, WireCacheStats};
-use bist_engine::{Engine, JobId, JobSpec, ResultCache};
+use bist_engine::{BistError, CancelToken, Engine, JobId, JobSpec, ProgressEvent, ResultCache};
 
 use crate::commands::CommandError;
-
-/// How long the accept loops sleep between non-blocking polls, and how
-/// long a worker blocks on a job's progress feed per pull.
-const POLL: Duration = Duration::from_millis(25);
 
 /// The longest request line the daemon reads, newline excluded: 4 MiB,
 /// about forty times the largest ISCAS netlist sent inline (c7552's
@@ -77,20 +81,21 @@ impl std::fmt::Debug for Ticket {
 }
 
 /// A connection's write half, shared between its reader thread (acks,
-/// stats) and whichever worker runs its jobs. Write errors are
-/// swallowed: a vanished client must not take a worker down.
+/// stats) and whichever worker runs its jobs.
 type ClientWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
 /// Writes `line` and its newline in one `write_all`, so a response leaves
 /// as one segment rather than a line and a trailing byte the peer's
-/// delayed ACK would hold back.
-fn send_line(writer: &ClientWriter, line: &str) {
+/// delayed ACK would hold back. Returns false when the write failed: the
+/// client has gone, and a job streaming to it is canceled.
+fn send_line(writer: &ClientWriter, line: &str) -> bool {
     let mut framed = String::with_capacity(line.len() + 1);
     framed.push_str(line);
     framed.push('\n');
     let mut w = writer.lock().expect("client writer lock never poisoned");
-    let _ = w.write_all(framed.as_bytes());
-    let _ = w.flush();
+    w.write_all(framed.as_bytes())
+        .and_then(|()| w.flush())
+        .is_ok()
 }
 
 /// The per-client queues and the round-robin order workers pull in.
@@ -146,6 +151,10 @@ struct Shared {
     failed: AtomicU64,
     rejected: AtomicU64,
     started: Instant,
+    /// Where `begin_drain` connects to wake the acceptors blocked in
+    /// `accept`.
+    tcp_addr: Option<SocketAddr>,
+    socket_path: Option<PathBuf>,
 }
 
 impl Shared {
@@ -191,7 +200,6 @@ pub struct Server {
     tcp: Option<TcpListener>,
     #[cfg(unix)]
     unix: Option<std::os::unix::net::UnixListener>,
-    socket_path: Option<PathBuf>,
 }
 
 impl Server {
@@ -240,6 +248,11 @@ impl Server {
         if let Some(cache) = config.cache {
             engine = engine.with_result_cache(cache);
         }
+        let tcp_addr = tcp
+            .as_ref()
+            .map(TcpListener::local_addr)
+            .transpose()
+            .map_err(|e| CommandError::Io(format!("cannot read the bound address: {e}")))?;
         Ok(Server {
             shared: Arc::new(Shared {
                 engine,
@@ -255,24 +268,25 @@ impl Server {
                 failed: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 started: Instant::now(),
+                tcp_addr,
+                socket_path: config.socket,
             }),
             jobs: config.jobs,
             tcp,
             #[cfg(unix)]
             unix,
-            socket_path: config.socket,
         })
     }
 
     /// The bound TCP address, when listening on TCP (`--listen
     /// 127.0.0.1:0` binds an ephemeral port; this reports which).
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp.as_ref().and_then(|l| l.local_addr().ok())
+        self.shared.tcp_addr
     }
 
     /// The bound unix-socket path, when listening on one.
     pub fn socket_path(&self) -> Option<&PathBuf> {
-        self.socket_path.as_ref()
+        self.shared.socket_path.as_ref()
     }
 
     /// Runs the service until a [`Request::Shutdown`] arrives and every
@@ -321,48 +335,40 @@ impl Server {
         for thread in threads {
             let _ = thread.join();
         }
-        if let Some(path) = &self.socket_path {
+        if let Some(path) = &self.shared.socket_path {
             let _ = std::fs::remove_file(path);
         }
         Ok(())
     }
 }
 
+/// Blocks in `accept` until the drain's own wake-up connection (see
+/// [`begin_drain`]) or an accept error ends the loop.
 fn accept_tcp(shared: &Arc<Shared>, listener: &TcpListener) {
-    let _ = listener.set_nonblocking(true);
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                // responses are small lines a waiting client reads at
-                // once: Nagle would hold each behind the previous ACK
-                let _ = stream.set_nodelay(true);
-                let Ok(reader) = stream.try_clone() else {
-                    continue;
-                };
-                spawn_connection(shared, reader, Box::new(stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
         }
+        // responses are small lines a waiting client reads at once:
+        // Nagle would hold each behind the previous ACK
+        let _ = stream.set_nodelay(true);
+        let Ok(reader) = stream.try_clone() else {
+            continue;
+        };
+        spawn_connection(shared, reader, Box::new(stream));
     }
 }
 
 #[cfg(unix)]
 fn accept_unix(shared: &Arc<Shared>, listener: &std::os::unix::net::UnixListener) {
-    let _ = listener.set_nonblocking(true);
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let Ok(reader) = stream.try_clone() else {
-                    continue;
-                };
-                spawn_connection(shared, reader, Box::new(stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(reader) = stream.try_clone() else {
+            continue;
+        };
+        spawn_connection(shared, reader, Box::new(stream));
     }
 }
 
@@ -410,29 +416,24 @@ fn read_requests(shared: &Arc<Shared>, client: u64, reader: impl Read, writer: &
         if line.trim().is_empty() {
             continue;
         }
-        match wire::decode_request(line) {
-            Err(e) => send_line(
-                writer,
-                &wire::encode_response(&Response::Rejected {
-                    reason: e.to_string(),
-                    retry_after_ms: None,
-                }),
-            ),
-            Ok(Request::Submit { spec }) => admit(shared, client, *spec, writer),
-            Ok(Request::Stats) => send_line(
-                writer,
-                &wire::encode_response(&Response::Stats {
-                    stats: shared.stats(),
-                }),
-            ),
-            Ok(Request::Shutdown) => {
-                let (queued, running) = begin_drain(shared);
-                send_line(
-                    writer,
-                    &wire::encode_response(&Response::Stopping { queued, running }),
-                );
+        let response = match wire::decode_request(line) {
+            Err(e) => Response::Rejected {
+                reason: e.to_string(),
+                retry_after_ms: None,
+            },
+            Ok(Request::Submit { spec }) => {
+                admit(shared, client, *spec, writer);
+                continue;
             }
-        }
+            Ok(Request::Stats) => Response::Stats {
+                stats: shared.stats(),
+            },
+            Ok(Request::Shutdown) => {
+                begin_drain(shared, writer);
+                continue;
+            }
+        };
+        send_line(writer, &wire::encode_response(&response));
     }
 }
 
@@ -477,15 +478,36 @@ fn admit(shared: &Shared, client: u64, spec: JobSpec, writer: &ClientWriter) {
 }
 
 /// Stops admission and wakes everyone; queued and in-flight jobs still
-/// run to completion. Returns the queue depth at the moment of the
-/// request, for [`Response::Stopping`].
-fn begin_drain(shared: &Shared) -> (u64, u64) {
+/// run to completion. Answers the requester with [`Response::Stopping`],
+/// the queue depth at the moment of the request.
+///
+/// Each acceptor is then woken by one connection to its own listener,
+/// after which it sees the flag and returns. The answer is written
+/// first: once the acceptors return, [`Server::serve`] may return and
+/// the process exit.
+fn begin_drain(shared: &Shared, writer: &ClientWriter) {
     let sched = shared.sched.lock().expect("sched lock never poisoned");
     shared.draining.store(true, Ordering::SeqCst);
-    let snapshot = (sched.queued as u64, sched.running as u64);
+    let (queued, running) = (sched.queued as u64, sched.running as u64);
     drop(sched);
     shared.work_ready.notify_all();
-    snapshot
+    send_line(
+        writer,
+        &wire::encode_response(&Response::Stopping { queued, running }),
+    );
+    if let Some(mut addr) = shared.tcp_addr {
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect(addr);
+    }
+    #[cfg(unix)]
+    if let Some(path) = &shared.socket_path {
+        let _ = std::os::unix::net::UnixStream::connect(path);
+    }
 }
 
 /// One worker: pop round-robin, run, repeat; exit once draining and
@@ -509,59 +531,55 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some(ticket) = ticket else { return };
-        run_ticket(shared, &ticket);
+        run_ticket(shared, ticket);
         let mut sched = shared.sched.lock().expect("sched lock never poisoned");
         sched.running -= 1;
     }
 }
 
-/// Runs one admitted job on the shared engine, streaming its progress
+/// Runs one admitted job on this worker's thread, streaming its progress
 /// events (retagged with the server-assigned job number) and its
 /// terminal result/failure line back to the submitting client.
-fn run_ticket(shared: &Shared, ticket: &Ticket) {
-    let job = ticket.job;
-    let handle = shared.engine.submit(ticket.spec.clone());
-    let feed = handle.progress().clone();
-    let forward = |event: bist_engine::ProgressEvent| {
-        send_line(
-            &ticket.writer,
-            &wire::encode_response(&Response::Event {
-                event: event.with_job(JobId(job)),
-            }),
-        );
-    };
-    while !handle.is_finished() {
-        if let Some(event) = feed.poll_timeout(POLL) {
-            forward(event);
+fn run_ticket(shared: &Shared, ticket: Ticket) {
+    let Ticket { job, spec, writer } = ticket;
+    let cancel = CancelToken::new();
+    let cached = AtomicBool::new(false);
+    let forward = |event: ProgressEvent| {
+        if let ProgressEvent::Finished { cache_hit, .. } = event {
+            cached.store(cache_hit, Ordering::SeqCst);
         }
-    }
-    for event in feed.drain() {
-        forward(event);
-    }
-    let cached = handle.cache_hit().unwrap_or(false);
-    match handle.wait() {
+        let line = wire::encode_response(&Response::Event {
+            event: event.with_job(JobId(job)),
+        });
+        if !send_line(&writer, &line) {
+            // the client has gone: stop at the next checkpoint
+            cancel.cancel();
+        }
+    };
+    // a job that panics answers `failed` like any other error, and this
+    // worker keeps serving
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        shared.engine.run_with(spec, &cancel, &forward)
+    }))
+    .unwrap_or(Err(BistError::Canceled));
+    let response = match outcome {
         Ok(result) => {
             shared.completed.fetch_add(1, Ordering::SeqCst);
-            send_line(
-                &ticket.writer,
-                &wire::encode_response(&Response::Result {
-                    job,
-                    cached,
-                    result: Box::new(result),
-                }),
-            );
+            Response::Result {
+                job,
+                cached: cached.load(Ordering::SeqCst),
+                result: Box::new(result),
+            }
         }
         Err(e) => {
             shared.failed.fetch_add(1, Ordering::SeqCst);
-            send_line(
-                &ticket.writer,
-                &wire::encode_response(&Response::Failed {
-                    job,
-                    error: e.to_string(),
-                }),
-            );
+            Response::Failed {
+                job,
+                error: e.to_string(),
+            }
         }
-    }
+    };
+    send_line(&writer, &wire::encode_response(&response));
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! End-to-end tests of the `bist` binary: help snapshot, cache-served
 //! reruns byte-identical to computed ones, estimates identical at every
 //! pool width, estimate-first runs answered from the unflagged entry,
-//! batch-vs-individual bit-identity, and diagnostic exit codes.
+//! batch-vs-individual bit-identity, diagnostic exit codes, and a
+//! `bist serve` daemon answering `--connect` clients.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bist_engine::json::{self, Json};
@@ -547,4 +549,92 @@ fn hdl_artefacts_land_on_disk_with_out() {
     assert!(verilog.contains("module c17_bist"));
     assert!(out.join("c17_bist_tb.v").exists(), "testbench written");
     assert!(!out.join("c17_bist.vhd").exists(), "vhdl not requested");
+}
+
+/// Kills the daemon if a failed assertion leaves it running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `bist serve` and `bist --connect` over the real binary: remote runs
+/// print the local run's bytes, a repeat is a cache hit, `server stats`
+/// counts the traffic, an estimate-first preview comes before the first
+/// checkpoint, and `server shutdown` drains the daemon to exit 0.
+#[test]
+fn the_daemon_serves_connect_clients_like_local_runs_and_drains() {
+    let cache = fresh_dir("serve-cache");
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_bist"))
+            .args(["serve", "--listen", "127.0.0.1:0", "--queue", "64"])
+            .env("BIST_CACHE_DIR", &cache)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let mut log = BufReader::new(daemon.0.stderr.take().expect("piped stderr"));
+    let mut first = String::new();
+    log.read_line(&mut first).expect("daemon stderr");
+    let addr = first
+        .trim_end()
+        .strip_prefix("bist serve: listening on ")
+        .unwrap_or_else(|| panic!("no address in `{first}`"))
+        .to_owned();
+
+    // remote runs are byte-identical to a local one; the repeat is
+    // served from the daemon's cache
+    let sweep = ["sweep", "c17", "--points", "0,100", "--format", "json"];
+    let remote = || bist(&[&sweep[..], &["--connect", &addr]].concat());
+    let (remote1, remote2) = (remote(), remote());
+    let local = bist(&[&sweep[..], &["--no-cache"]].concat());
+    for output in [&remote1, &remote2, &local] {
+        assert!(output.status.success(), "{}", stderr(output));
+    }
+    assert_eq!(stdout(&remote1), stdout(&local), "served JSON is local");
+    assert_eq!(stdout(&remote2), stdout(&local), "cached JSON is local");
+    assert!(
+        stderr(&remote2).contains("served from the result cache"),
+        "{}",
+        stderr(&remote2)
+    );
+
+    // lifetime stats see the traffic and the hit
+    let stats = stdout(&bist(&["server", "stats", "--connect", &addr]));
+    assert!(stats.contains("submitted=2 completed=2"), "{stats}");
+    assert!(stats.contains("hits=1"), "{stats}");
+
+    // a cold estimate-first submission streams its preview strictly
+    // before the first exact checkpoint
+    let preview = bist(&[
+        "sweep",
+        "c17",
+        "--points",
+        "0,50",
+        "--estimate-first",
+        "--format",
+        "json",
+        "--connect",
+        &addr,
+    ]);
+    let events = stderr(&preview);
+    let estimate = events.lines().position(|l| l.contains("estimate p="));
+    let checkpoint = events.lines().position(|l| l.contains(" coverage="));
+    assert!(
+        matches!((estimate, checkpoint), (Some(e), Some(c)) if e < c),
+        "{events}"
+    );
+
+    // graceful shutdown: drains and exits 0
+    let stop = bist(&["server", "shutdown", "--connect", &addr]);
+    assert!(stop.status.success(), "{}", stderr(&stop));
+    let status = daemon.0.wait().expect("daemon exits");
+    assert!(status.success(), "drained daemon exits 0: {status}");
+    let mut rest = String::new();
+    log.read_to_string(&mut rest).expect("daemon stderr");
+    assert!(rest.contains("drained, shutting down"), "{rest}");
 }

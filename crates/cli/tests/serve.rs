@@ -4,11 +4,12 @@
 //! admission control rejects (never hangs) when the queue is full, an
 //! over-long request line is rejected without taking the daemon down, a
 //! line just under the cap is answered promptly, a spec with a degree-0
-//! LFSR polynomial fails alone, and a shutdown request drains in-flight
-//! jobs before `serve()` returns.
+//! LFSR polynomial fails alone, a job whose client has gone is canceled,
+//! a served sweep writes its pinned lines, and a shutdown request drains
+//! in-flight jobs before `serve()` returns.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -16,9 +17,11 @@ use std::time::{Duration, Instant};
 use bist_cli::commands::CommandError;
 use bist_cli::render::result_json;
 use bist_cli::serve::{ServeConfig, Server, MAX_REQUEST_LINE};
+use bist_engine::digest::sha256_hex;
 use bist_engine::wire::{self, Request, Response};
 use bist_engine::{
-    CircuitSource, Engine, FaultModel, JobResult, JobSpec, MixedSchemeConfig, ResultCache,
+    CircuitSource, Engine, FaultModel, JobResult, JobSpec, MixedSchemeConfig, ProgressEvent,
+    ResultCache,
 };
 
 fn fresh_dir(test: &str) -> PathBuf {
@@ -89,6 +92,12 @@ impl TestClient {
         self.send(&Request::Submit {
             spec: Box::new(spec),
         });
+        self.result()
+    }
+
+    /// Pumps the session until the terminal result of the job just
+    /// submitted.
+    fn result(&mut self) -> (JobResult, bool) {
         let mut job = None;
         loop {
             match self.next() {
@@ -521,6 +530,128 @@ fn a_request_line_holding_one_long_string_is_answered_promptly() {
     );
 
     let mut control = TestClient::connect(addr);
+    control.send(&Request::Shutdown);
+    let Response::Stopping { .. } = control.next() else {
+        panic!("shutdown request answers with stopping");
+    };
+    server
+        .join()
+        .expect("serve thread")
+        .expect("graceful shutdown exits cleanly");
+}
+
+/// The lines one served c17 sweep writes, byte for byte: `accepted`, the
+/// job's five events, then `result`, pinned by its SHA-256 because it
+/// holds the whole solved frontier. The pins are the bytes the daemon
+/// wrote when it relayed events through a per-job queue, so writing them
+/// straight from the job's sink must not change a byte.
+#[test]
+fn a_served_sweep_writes_the_pinned_line_sequence() {
+    let (addr, server) = start(ServeConfig {
+        jobs: 1,
+        queue_capacity: 4,
+        retry_after_ms: 100,
+        ..ServeConfig::default()
+    });
+
+    let mut client = TestClient::connect(addr);
+    client.send(&Request::Submit {
+        spec: Box::new(JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8])),
+    });
+    let mut lines = Vec::new();
+    loop {
+        let mut line = String::new();
+        let n = client.reader.read_line(&mut line).expect("read response");
+        assert_ne!(n, 0, "server closed the connection mid-session");
+        let line = line.trim_end().to_owned();
+        let terminal = matches!(
+            wire::decode_response(&line).expect("response line decodes"),
+            Response::Result { .. } | Response::Failed { .. }
+        );
+        lines.push(line);
+        if terminal {
+            break;
+        }
+    }
+    let result = lines.pop().expect("a terminal line");
+    assert_eq!(lines, PINNED_SWEEP_LINES);
+    assert_eq!(sha256_hex(result.as_bytes()), PINNED_SWEEP_RESULT_SHA256);
+
+    client.send(&Request::Shutdown);
+    let Response::Stopping { .. } = client.next() else {
+        panic!("shutdown request answers with stopping");
+    };
+    server
+        .join()
+        .expect("serve thread")
+        .expect("graceful shutdown exits cleanly");
+}
+
+const PINNED_SWEEP_LINES: [&str; 6] = [
+    r#"{"v": 1, "type": "accepted", "job": 1}"#,
+    r#"{"v": 1, "type": "event", "payload": {"event": "queued", "job": 1, "label": "sweep c17"}}"#,
+    r#"{"v": 1, "type": "event", "payload": {"event": "started", "job": 1}}"#,
+    r#"{"v": 1, "type": "event", "payload": {"event": "checkpoint", "job": 1, "prefix_len": 0, "coverage_pct": "4059000000000000"}}"#,
+    r#"{"v": 1, "type": "event", "payload": {"event": "checkpoint", "job": 1, "prefix_len": 8, "coverage_pct": "4059000000000000"}}"#,
+    r#"{"v": 1, "type": "event", "payload": {"event": "finished", "job": 1}}"#,
+];
+
+const PINNED_SWEEP_RESULT_SHA256: &str =
+    "691aad7c88b54072d7f6f3ae845a92934234693aa8286d6527eefe7f590b5224";
+
+/// A client that leaves mid-job must not hold its worker: the first event
+/// the daemon cannot write cancels the job, which stops at its next
+/// checkpoint. A client that has only half-closed is still answered.
+#[test]
+fn a_job_whose_client_has_gone_is_canceled_and_frees_its_worker() {
+    let (addr, server) = start(ServeConfig {
+        jobs: 1,
+        queue_capacity: 4,
+        retry_after_ms: 100,
+        ..ServeConfig::default()
+    });
+
+    // a c432 sweep over 100 cheap points: about a second of work, so it
+    // is still running long after its first checkpoint
+    let points: Vec<usize> = (0..100).map(|i| 2 * i).collect();
+    let mut gone = TestClient::connect(addr);
+    gone.send(&Request::Submit {
+        spec: Box::new(JobSpec::sweep(CircuitSource::iscas85("c432"), points)),
+    });
+    let Response::Accepted { .. } = gone.next() else {
+        panic!("the sweep is admitted");
+    };
+    while !matches!(
+        gone.next(),
+        Response::Event {
+            event: ProgressEvent::Checkpoint { .. }
+        }
+    ) {}
+    drop(gone);
+
+    // the single worker is free for the next tenant, which half-closes
+    // after submitting and still reads its answer
+    let mut next = TestClient::connect(addr);
+    next.send(&Request::Submit {
+        spec: Box::new(solve_spec()),
+    });
+    next.writer
+        .shutdown(Shutdown::Write)
+        .expect("close the sending half");
+    let (solved, _) = next.result();
+    assert!(solved.as_solve_at().is_some(), "c17 solve answered");
+
+    let mut control = TestClient::connect(addr);
+    control.send(&Request::Stats);
+    let Response::Stats { stats } = control.next() else {
+        panic!("stats request answers with stats");
+    };
+    assert_eq!(
+        (stats.completed, stats.failed),
+        (1, 1),
+        "the abandoned sweep was canceled, the solve completed"
+    );
+
     control.send(&Request::Shutdown);
     let Response::Stopping { .. } = control.next() else {
         panic!("shutdown request answers with stopping");

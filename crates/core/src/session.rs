@@ -323,12 +323,6 @@ impl<'c> BistSession<'c> {
         &self.faults
     }
 
-    /// The collapsed universe the session grades through (`None` only in
-    /// the full-universe counterfactual).
-    pub fn collapse(&self) -> Option<&CollapsedUniverse> {
-        self.universe.as_ref()
-    }
-
     /// Work counters: patterns simulated, ATPG runs and cache hits.
     pub fn stats(&self) -> SessionStats {
         self.stats

@@ -1,5 +1,6 @@
 //! The job scheduler and per-job drivers.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -15,8 +16,7 @@ use bist_par::Pool;
 
 use crate::cache::{job_digest, ResultCache};
 use crate::error::BistError;
-use crate::handle::{JobHandle, JobSlot, SlotGuard};
-use crate::progress::{CancelToken, JobId, ProgressEvent, ProgressFeed};
+use crate::progress::{CancelToken, JobId, ProgressEvent};
 use crate::result::{
     AreaReportOutcome, BakeoffOutcome, CurveOutcome, EstimateOutcome, HdlOutcome, JobResult,
     LintOutcome, SolveAtOutcome, SweepOutcome,
@@ -27,18 +27,21 @@ use crate::spec::{
     DEFAULT_ESTIMATE_SAMPLES, DEFAULT_ESTIMATE_SEED,
 };
 
+/// Where a job's [`ProgressEvent`]s go: a callback run on the job's
+/// thread.
+type Sink<'a> = dyn Fn(ProgressEvent) + Sync + 'a;
+
 /// The single public face of the workspace: validates [`JobSpec`]s,
 /// schedules them across the `bist-par` pool, streams [`ProgressEvent`]s
 /// and returns typed [`JobResult`]s.
 ///
-/// One engine serves any number of jobs. [`Engine::submit`] returns an
-/// asynchronous [`JobHandle`] carrying a per-job event feed, a
-/// [`CancelToken`] and a blocking [`JobHandle::wait`];
-/// [`Engine::run_batch`] is a thin submit-then-wait wrapper, and
-/// [`Engine::run`] runs its one job on the caller's thread. Results are
-/// bit-identical at every pool width and to driving [`BistSession`] by
-/// hand — the engine adds scheduling, validation, progress and
-/// cancellation, never different numbers.
+/// One engine serves any number of jobs, each on the thread that asks
+/// for it: [`Engine::run`] runs one job and [`Engine::run_batch`] shards
+/// a batch across the pool, and their `_with` forms add a
+/// [`CancelToken`] and a sink that receives the job's events as they
+/// happen. Results are bit-identical at every pool width and to driving
+/// [`BistSession`] by hand — the engine adds scheduling, validation,
+/// progress and cancellation, never different numbers.
 ///
 /// Cloning an engine is cheap and yields a second handle on the *same*
 /// engine: the clones share the pool width, the result cache (and its
@@ -134,110 +137,14 @@ impl Engine {
         JobId(self.inner.next_job.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// Submits one job for asynchronous execution; the returned
-    /// [`JobHandle`] owns the job's private progress feed, its
-    /// cancellation token and the blocking [`JobHandle::wait`].
+    /// Runs one job to completion on the caller's thread.
     ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bist_engine::{CircuitSource, Engine, JobSpec, ProgressEvent};
-    /// use std::time::Duration;
-    ///
-    /// let engine = Engine::new();
-    /// let handle = engine.submit(JobSpec::solve_at(CircuitSource::iscas85("c17"), 8));
-    /// // pull events without busy-waiting while the job runs
-    /// while !handle.is_finished() {
-    ///     if let Some(event) = handle.progress().poll_timeout(Duration::from_millis(10)) {
-    ///         assert_eq!(event.job(), handle.id());
-    ///     }
-    /// }
-    /// let result = handle.wait()?;
-    /// assert!(result.as_solve_at().is_some());
-    /// # Ok::<(), bist_engine::BistError>(())
-    /// ```
-    pub fn submit(&self, spec: JobSpec) -> JobHandle {
-        let mut handles = self.submit_batch_with_cancel(vec![spec], &CancelToken::new());
-        handles.pop().expect("one spec in, one handle out")
-    }
-
-    /// [`Engine::submit`] with a caller-held cancellation token.
-    pub fn submit_with_cancel(&self, spec: JobSpec, cancel: &CancelToken) -> JobHandle {
-        let mut handles = self.submit_batch_with_cancel(vec![spec], cancel);
-        handles.pop().expect("one spec in, one handle out")
-    }
-
-    /// Submits a batch of jobs sharded across the pool, returning one
-    /// [`JobHandle`] per spec, in spec order.
-    ///
-    /// With a parallel pool and more than one job, each job's own
-    /// engines run serially (one level of parallelism, no
-    /// oversubscription) — results are bit-identical either way.
-    pub fn submit_batch(&self, specs: Vec<JobSpec>) -> Vec<JobHandle> {
-        self.submit_batch_with_cancel(specs, &CancelToken::new())
-    }
-
-    /// [`Engine::submit_batch`] with a shared cancellation token:
-    /// cancelling it stops every job still running at its next
-    /// checkpoint.
-    pub fn submit_batch_with_cancel(
-        &self,
-        specs: Vec<JobSpec>,
-        cancel: &CancelToken,
-    ) -> Vec<JobHandle> {
-        let pool = Pool::resolve(self.inner.threads);
-        let inner_threads = if pool.is_serial() || specs.len() <= 1 {
-            self.inner.threads
-        } else {
-            1
-        };
-        let mut handles = Vec::with_capacity(specs.len());
-        let mut work: Vec<(JobId, JobSpec, ProgressFeed, SlotGuard)> =
-            Vec::with_capacity(specs.len());
-        for mut spec in specs {
-            if spec.config().threads == 0 {
-                spec.set_threads(inner_threads);
-            }
-            let id = self.next_id();
-            let label = format!("{} {}", spec.kind(), spec.circuit().label());
-            let feed = ProgressFeed::new();
-            let slot = Arc::new(JobSlot::default());
-            handles.push(JobHandle {
-                id,
-                label: label.clone(),
-                feed: feed.clone(),
-                cancel: cancel.clone(),
-                slot: slot.clone(),
-            });
-            feed.push(ProgressEvent::Queued { job: id, label });
-            work.push((id, spec, feed, SlotGuard(slot)));
-        }
-        let engine = self.clone();
-        let cancel = cancel.clone();
-        std::thread::Builder::new()
-            .name("bist-engine".to_owned())
-            .spawn(move || {
-                let pool = Pool::resolve(engine.inner.threads);
-                pool.par_map(&work, |(id, spec, feed, guard)| {
-                    match engine.execute(*id, spec, &cancel, feed) {
-                        Ok((result, cached)) => guard.0.fill(Ok(result), cached),
-                        Err(e) => guard.0.fill(Err(e), false),
-                    }
-                });
-            })
-            .expect("spawn engine scheduler thread");
-        handles
-    }
-
-    /// Runs one job to completion on the caller's thread, with the
-    /// result [`Engine::submit`] followed by [`JobHandle::wait`] gives.
-    ///
-    /// No scheduler thread is started: the job's pool workers are the only
-    /// threads it spawns. Back-to-back jobs therefore reuse the caller's
+    /// No thread is started: the job's pool workers are the only threads
+    /// it spawns. Back-to-back jobs therefore reuse the caller's
     /// allocator state, where a fresh thread per job leaves fragmented
     /// allocator arenas behind and ratchets the process's resident memory
-    /// up from job to job. No progress events can be observed; use
-    /// [`Engine::submit`] for a feed.
+    /// up from job to job. [`Engine::run_with`] adds a progress sink and
+    /// a cancellation token.
     ///
     /// # Examples
     ///
@@ -258,72 +165,156 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// A panic inside the job unwinds to the caller. (A submitted job that
-    /// panics instead reports [`BistError::Canceled`] to its waiter.)
+    /// A panic inside the job unwinds to the caller. (A batch member that
+    /// panics instead answers [`BistError::Canceled`].)
     pub fn run(&self, spec: JobSpec) -> Result<JobResult, BistError> {
-        self.run_with_cancel(spec, &CancelToken::new())
+        self.run_with(spec, &CancelToken::new(), &|_| {})
     }
 
-    /// [`Engine::run`] with a caller-held cancellation token; the job
-    /// observes it between checkpoints and returns
-    /// [`BistError::Canceled`].
-    pub fn run_with_cancel(
+    /// [`Engine::run`] with a cancellation token and a progress sink.
+    ///
+    /// `events` receives the job's [`ProgressEvent`]s on this thread as
+    /// they happen: `Queued`, `Started`, any `Estimate`, `Pass` and
+    /// `Checkpoint`s, then one of `Finished`, `Failed` or `Canceled`. The
+    /// job observes `cancel` between checkpoints and returns
+    /// [`BistError::Canceled`]; the sink itself may cancel it.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bist_engine::{CancelToken, CircuitSource, Engine, JobSpec, ProgressEvent};
+    ///
+    /// let engine = Engine::new();
+    /// let spec = JobSpec::solve_at(CircuitSource::iscas85("c17"), 8);
+    /// let result = engine.run_with(spec, &CancelToken::new(), &|event| {
+    ///     if let ProgressEvent::Checkpoint { coverage_pct, .. } = event {
+    ///         eprintln!("coverage so far {coverage_pct:.1} %");
+    ///     }
+    /// })?;
+    /// assert!(result.as_solve_at().is_some());
+    /// # Ok::<(), bist_engine::BistError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run`], plus [`BistError::Canceled`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::run`].
+    pub fn run_with(
         &self,
-        mut spec: JobSpec,
+        spec: JobSpec,
         cancel: &CancelToken,
+        events: &(dyn Fn(ProgressEvent) + Sync),
     ) -> Result<JobResult, BistError> {
-        if spec.config().threads == 0 {
-            spec.set_threads(self.inner.threads);
-        }
-        let id = self.next_id();
-        self.execute(id, &spec, cancel, &ProgressFeed::new())
-            .map(|(result, _)| result)
+        let (id, spec) = self.enqueue(spec, self.inner.threads, events);
+        self.execute(id, &spec, cancel, events)
     }
 
-    /// Runs a batch of jobs — [`Engine::submit_batch`] followed by a
-    /// [`JobHandle::wait`] per handle. Returns one result per spec, in
-    /// spec order.
+    /// Runs a batch of jobs sharded across the pool. Returns one result
+    /// per spec, in spec order.
+    ///
+    /// With a parallel pool and more than one job, each job's own
+    /// engines run serially (one level of parallelism, no
+    /// oversubscription) — results are bit-identical either way.
     pub fn run_batch(&self, specs: Vec<JobSpec>) -> Vec<Result<JobResult, BistError>> {
-        self.run_batch_with_cancel(specs, &CancelToken::new())
+        self.run_batch_with(specs, &CancelToken::new(), &|_| {})
     }
 
-    /// [`Engine::run_batch`] with a shared cancellation token: cancelling
-    /// it stops every job still running at its next checkpoint.
-    pub fn run_batch_with_cancel(
+    /// [`Engine::run_batch`] with a shared cancellation token and one
+    /// progress sink for every member.
+    ///
+    /// Every member's `Queued` event comes before any `Started`; after
+    /// that, members running on different pool workers call `events`
+    /// concurrently, and [`ProgressEvent::job`] tells them apart.
+    /// Cancelling the token stops every member still running at its next
+    /// checkpoint. A member that panics answers [`BistError::Canceled`]
+    /// while the others finish.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Mutex;
+    /// use bist_engine::{CancelToken, CircuitSource, Engine, JobSpec, ProgressEvent};
+    ///
+    /// let engine = Engine::new();
+    /// let specs = vec![
+    ///     JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8]),
+    ///     JobSpec::lint(CircuitSource::iscas85("c17")),
+    /// ];
+    /// let seen = Mutex::new(Vec::new());
+    /// let results = engine.run_batch_with(specs, &CancelToken::new(), &|event| {
+    ///     seen.lock().unwrap().push(event);
+    /// });
+    /// assert!(results.iter().all(Result::is_ok));
+    /// let seen = seen.into_inner().unwrap();
+    /// let finished = seen
+    ///     .iter()
+    ///     .filter(|e| matches!(e, ProgressEvent::Finished { .. }))
+    ///     .count();
+    /// assert_eq!(finished, 2);
+    /// ```
+    pub fn run_batch_with(
         &self,
         specs: Vec<JobSpec>,
         cancel: &CancelToken,
+        events: &(dyn Fn(ProgressEvent) + Sync),
     ) -> Vec<Result<JobResult, BistError>> {
-        self.submit_batch_with_cancel(specs, cancel)
+        let pool = Pool::resolve(self.inner.threads);
+        let threads = if pool.is_serial() || specs.len() <= 1 {
+            self.inner.threads
+        } else {
+            1
+        };
+        let work: Vec<(JobId, JobSpec)> = specs
             .into_iter()
-            .map(JobHandle::wait)
-            .collect()
+            .map(|spec| self.enqueue(spec, threads, events))
+            .collect();
+        pool.par_map(&work, |(id, spec)| {
+            panic::catch_unwind(AssertUnwindSafe(|| self.execute(*id, spec, cancel, events)))
+                .unwrap_or(Err(BistError::Canceled))
+        })
+    }
+
+    /// Numbers a job, pins its pool width when the spec leaves it
+    /// automatic, and announces it with [`ProgressEvent::Queued`].
+    fn enqueue(&self, mut spec: JobSpec, threads: usize, events: &Sink<'_>) -> (JobId, JobSpec) {
+        if spec.config().threads == 0 {
+            spec.set_threads(threads);
+        }
+        let id = self.next_id();
+        let label = format!("{} {}", spec.kind(), spec.circuit().label());
+        events(ProgressEvent::Queued { job: id, label });
+        (id, spec)
     }
 
     /// Validates, realizes and drives one job, bracketing it with
-    /// lifecycle events. The boolean marks a result answered from the
-    /// cache.
+    /// lifecycle events.
     fn execute(
         &self,
         id: JobId,
         spec: &JobSpec,
         cancel: &CancelToken,
-        feed: &ProgressFeed,
-    ) -> Result<(JobResult, bool), BistError> {
-        feed.push(ProgressEvent::Started { job: id });
-        let result = self.drive(id, spec, cancel, feed);
-        match &result {
-            Ok((_, cached)) => feed.push(ProgressEvent::Finished {
-                job: id,
-                cache_hit: *cached,
-            }),
-            Err(BistError::Canceled) => feed.push(ProgressEvent::Canceled { job: id }),
-            Err(e) => feed.push(ProgressEvent::Failed {
-                job: id,
-                message: e.to_string(),
-            }),
+        events: &Sink<'_>,
+    ) -> Result<JobResult, BistError> {
+        events(ProgressEvent::Started { job: id });
+        match self.drive(id, spec, cancel, events) {
+            Ok((result, cache_hit)) => {
+                events(ProgressEvent::Finished { job: id, cache_hit });
+                Ok(result)
+            }
+            Err(e) => {
+                events(match &e {
+                    BistError::Canceled => ProgressEvent::Canceled { job: id },
+                    e => ProgressEvent::Failed {
+                        job: id,
+                        message: e.to_string(),
+                    },
+                });
+                Err(e)
+            }
         }
-        result
     }
 
     fn drive(
@@ -331,7 +322,7 @@ impl Engine {
         id: JobId,
         spec: &JobSpec,
         cancel: &CancelToken,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<(JobResult, bool), BistError> {
         spec.validate()?;
         if cancel.is_canceled() {
@@ -343,7 +334,7 @@ impl Engine {
         // realized circuit, and a defective source has none.)
         if let (JobSpec::Lint(_), CircuitSource::Bench { name, text }) = (spec, spec.circuit()) {
             if let Err(diagnostic) = bist_lint::parse_pass(name, text) {
-                feed.push(ProgressEvent::Pass {
+                events(ProgressEvent::Pass {
                     job: id,
                     name: "parse".to_owned(),
                 });
@@ -374,14 +365,14 @@ impl Engine {
             }
         }
         let result = match spec {
-            JobSpec::SolveAt(s) => self.drive_solve_at(id, s, &circuit, feed),
-            JobSpec::Sweep(s) => self.drive_sweep(id, s, &circuit, cancel, feed),
-            JobSpec::CoverageCurve(s) => self.drive_curve(id, s, &circuit, cancel, feed),
+            JobSpec::SolveAt(s) => self.drive_solve_at(id, s, &circuit, events),
+            JobSpec::Sweep(s) => self.drive_sweep(id, s, &circuit, cancel, events),
+            JobSpec::CoverageCurve(s) => self.drive_curve(id, s, &circuit, cancel, events),
             JobSpec::Bakeoff(s) => self.drive_bakeoff(s, &circuit),
-            JobSpec::EmitHdl(s) => self.drive_emit_hdl(id, s, &circuit, feed),
-            JobSpec::AreaReport(s) => self.drive_area_report(id, s, &circuit, feed),
-            JobSpec::Lint(s) => self.drive_lint(id, s, &circuit, cancel, feed),
-            JobSpec::CoverageEstimate(s) => self.drive_estimate(id, s, &circuit, feed),
+            JobSpec::EmitHdl(s) => self.drive_emit_hdl(id, s, &circuit, events),
+            JobSpec::AreaReport(s) => self.drive_area_report(id, s, &circuit, events),
+            JobSpec::Lint(s) => self.drive_lint(id, s, &circuit, cancel, events),
+            JobSpec::CoverageEstimate(s) => self.drive_estimate(id, s, &circuit, events),
         };
         if let (Some((cache, key)), Ok(result)) = (&key, &result) {
             cache.store(key, result);
@@ -389,14 +380,8 @@ impl Engine {
         result.map(|result| (result, false))
     }
 
-    fn checkpoint(
-        &self,
-        feed: &ProgressFeed,
-        id: JobId,
-        prefix_len: usize,
-        report: &CoverageReport,
-    ) {
-        feed.push(ProgressEvent::Checkpoint {
+    fn checkpoint(&self, events: &Sink<'_>, id: JobId, prefix_len: usize, report: &CoverageReport) {
+        events(ProgressEvent::Checkpoint {
             job: id,
             prefix_len,
             coverage_pct: report.coverage_pct(),
@@ -410,7 +395,7 @@ impl Engine {
     /// touches the job's outcome.
     fn estimate_preview(
         &self,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
         id: JobId,
         s_config: &bist_core::MixedSchemeConfig,
         circuit: &Circuit,
@@ -424,7 +409,7 @@ impl Engine {
             DEFAULT_ESTIMATE_CONFIDENCE,
             DEFAULT_ESTIMATE_SEED,
         );
-        feed.push(ProgressEvent::Estimate {
+        events(ProgressEvent::Estimate {
             job: id,
             prefix_len,
             samples: e.samples,
@@ -445,14 +430,14 @@ impl Engine {
         id: JobId,
         s: &SolveAtSpec,
         circuit: &Circuit,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<JobResult, BistError> {
         if s.estimate_first {
-            self.estimate_preview(feed, id, &s.config, circuit, s.prefix_len);
+            self.estimate_preview(events, id, &s.config, circuit, s.prefix_len);
         }
         let mut session = ModelSession::new(circuit, s.config.clone(), s.fault_model);
         let solution = session.solve_at(s.prefix_len)?;
-        self.checkpoint(feed, id, s.prefix_len, &solution.coverage);
+        self.checkpoint(events, id, s.prefix_len, &solution.coverage);
         Ok(JobResult::SolveAt(SolveAtOutcome {
             circuit: circuit.name().to_owned(),
             solution,
@@ -466,13 +451,13 @@ impl Engine {
         s: &SweepSpec,
         circuit: &Circuit,
         cancel: &CancelToken,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<JobResult, BistError> {
         if s.estimate_first {
             // preview the sweep's longest prefix — the point the exact
             // run will take longest to confirm
             let longest = s.prefix_lengths.iter().copied().max().unwrap_or(0);
-            self.estimate_preview(feed, id, &s.config, circuit, longest);
+            self.estimate_preview(events, id, &s.config, circuit, longest);
         }
         let mut session = ModelSession::new(circuit, s.config.clone(), s.fault_model);
         // the ascending rule keeps each pseudo-random pattern graded at
@@ -483,7 +468,7 @@ impl Engine {
                 return Err(BistError::Canceled);
             }
             let solution = session.solve_at(p)?;
-            self.checkpoint(feed, id, p, &solution.coverage);
+            self.checkpoint(events, id, p, &solution.coverage);
             Ok(solution)
         })?;
         Ok(JobResult::Sweep(SweepOutcome {
@@ -499,7 +484,7 @@ impl Engine {
         s: &CoverageCurveSpec,
         circuit: &Circuit,
         cancel: &CancelToken,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<JobResult, BistError> {
         let mut session = ModelSession::new(circuit, s.config.clone(), s.fault_model);
         let universe = session.universe_len();
@@ -508,7 +493,7 @@ impl Engine {
                 return Err(BistError::Canceled);
             }
             let pct = session.random_coverage_curve(&[cp]).points()[0].1;
-            feed.push(ProgressEvent::Checkpoint {
+            events(ProgressEvent::Checkpoint {
                 job: id,
                 prefix_len: cp,
                 coverage_pct: pct,
@@ -540,11 +525,11 @@ impl Engine {
         id: JobId,
         s: &EmitHdlSpec,
         circuit: &Circuit,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<JobResult, BistError> {
         let mut session = BistSession::new(circuit, s.config.clone());
         let solution = session.solve_at(s.prefix_len)?;
-        self.checkpoint(feed, id, s.prefix_len, &solution.coverage);
+        self.checkpoint(events, id, s.prefix_len, &solution.coverage);
 
         let module = s
             .module_name
@@ -592,8 +577,8 @@ impl Engine {
         }))
     }
 
-    fn analysis_pass(&self, feed: &ProgressFeed, id: JobId, name: &str) {
-        feed.push(ProgressEvent::Pass {
+    fn analysis_pass(&self, events: &Sink<'_>, id: JobId, name: &str) {
+        events(ProgressEvent::Pass {
             job: id,
             name: name.to_owned(),
         });
@@ -605,13 +590,13 @@ impl Engine {
         s: &LintSpec,
         circuit: &Circuit,
         cancel: &CancelToken,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<JobResult, BistError> {
         let options = LintOptions::default();
         // parse pass: recover the source map so diagnostics carry line
         // spans — against the user's own text for Bench sources, against
         // the canonical `.bench` serialization for everything else
-        self.analysis_pass(feed, id, "parse");
+        self.analysis_pass(events, id, "parse");
         let map = match &s.circuit {
             CircuitSource::Bench { name, text } => {
                 bist_lint::parse_pass(name, text).ok().map(|(_, m)| m)
@@ -626,12 +611,12 @@ impl Engine {
         if cancel.is_canceled() {
             return Err(BistError::Canceled);
         }
-        self.analysis_pass(feed, id, "structural");
+        self.analysis_pass(events, id, "structural");
         let mut diagnostics = bist_lint::structural_pass(circuit, map.as_ref(), &options);
         if cancel.is_canceled() {
             return Err(BistError::Canceled);
         }
-        self.analysis_pass(feed, id, "scoap");
+        self.analysis_pass(events, id, "scoap");
         let (scoap_diags, summary) = bist_lint::scoap_pass(circuit, map.as_ref(), &options);
         diagnostics.extend(scoap_diags);
         Ok(JobResult::Lint(LintOutcome {
@@ -649,7 +634,7 @@ impl Engine {
         id: JobId,
         s: &EstimateSpec,
         circuit: &Circuit,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<JobResult, BistError> {
         // one indivisible sampled grading pass: like solve-at, the only
         // cancellation boundary is the one before work starts
@@ -661,7 +646,7 @@ impl Engine {
             s.confidence,
             s.seed,
         );
-        feed.push(ProgressEvent::Checkpoint {
+        events(ProgressEvent::Checkpoint {
             job: id,
             prefix_len: s.prefix_len,
             coverage_pct: e.estimate_pct,
@@ -686,11 +671,11 @@ impl Engine {
         id: JobId,
         s: &AreaReportSpec,
         circuit: &Circuit,
-        feed: &ProgressFeed,
+        events: &Sink<'_>,
     ) -> Result<JobResult, BistError> {
         let mut session = BistSession::new(circuit, s.config.clone());
         let solution = session.solve_at(0)?;
-        self.checkpoint(feed, id, 0, &solution.coverage);
+        self.checkpoint(events, id, 0, &solution.coverage);
         Ok(JobResult::AreaReport(AreaReportOutcome {
             circuit: circuit.name().to_owned(),
             inputs: circuit.inputs().len(),

@@ -7,10 +7,11 @@
 //! full-deterministic extreme — is one typed [`JobSpec`]: a plain struct
 //! naming a [`CircuitSource`], a
 //! [`MixedSchemeConfig`] and the variant's
-//! budgets. An [`Engine`] validates specs, schedules them across the
-//! `bist-par` pool, streams [`ProgressEvent`]s through a pull-based
-//! [`ProgressFeed`], observes cooperative [`CancelToken`]s at checkpoint
-//! boundaries, and returns typed [`JobResult`]s. Every failure — a
+//! budgets. An [`Engine`] validates specs, runs them on the calling
+//! thread (a batch shards across the `bist-par` pool), hands each
+//! [`ProgressEvent`] to a sink the caller supplies, observes cooperative
+//! [`CancelToken`]s at checkpoint boundaries, and returns typed
+//! [`JobResult`]s. Every failure — a
 //! malformed `.bench` file, an unknown benchmark, an infeasible spec —
 //! comes back as a source-located [`BistError`], never a panic.
 //!
@@ -25,28 +26,34 @@
 //! bit-identically — the batch-sweep workload of the `bist` CLI hits it
 //! constantly. See the [`cache`] module for the key/invalidation scheme.
 //!
-//! For long-running hosts — above all the `bist serve` daemon — jobs
-//! are submitted asynchronously: [`Engine::submit`] returns a
-//! [`JobHandle`] owning a *per-job* [`ProgressFeed`], a [`CancelToken`]
-//! and a blocking [`JobHandle::wait`]. The [`wire`] module gives specs,
-//! results and events a versioned newline-delimited-JSON encoding for
-//! shipping them across a socket.
+//! Hosts that follow a job — the `bist` CLI's progress lines, the
+//! `bist serve` daemon's event stream — pass a sink to
+//! [`Engine::run_with`] or [`Engine::run_batch_with`]; the daemon's sink
+//! writes each event to the client and cancels the job when the client
+//! has gone. The [`wire`] module gives specs, results and events a
+//! versioned newline-delimited-JSON encoding for shipping them across a
+//! socket.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use bist_engine::{CircuitSource, Engine, JobSpec, ProgressEvent};
+//! use std::sync::Mutex;
+//! use bist_engine::{CancelToken, CircuitSource, Engine, JobSpec, ProgressEvent};
 //!
 //! let engine = Engine::new();
-//! let handle = engine.submit(JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8, 16]));
-//! let feed = handle.progress().clone(); // keep pulling after wait()
-//! let result = handle.wait()?;
+//! let events = Mutex::new(Vec::new());
+//! let result = engine.run_with(
+//!     JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8, 16]),
+//!     &CancelToken::new(),
+//!     &|event| events.lock().unwrap().push(event),
+//! )?;
 //!
 //! let sweep = result.as_sweep().expect("sweep jobs yield sweep outcomes");
 //! assert_eq!(sweep.summary.solutions().len(), 3);
-//! // the per-job event stream saw every solved checkpoint
-//! let checkpoints = feed
-//!     .drain()
+//! // the sink saw every solved checkpoint
+//! let checkpoints = events
+//!     .into_inner()
+//!     .unwrap()
 //!     .into_iter()
 //!     .filter(|e| matches!(e, ProgressEvent::Checkpoint { .. }))
 //!     .count();
@@ -62,7 +69,6 @@ pub mod codec;
 pub mod digest;
 mod engine;
 mod error;
-mod handle;
 pub mod json;
 mod progress;
 mod result;
@@ -71,7 +77,6 @@ pub mod wire;
 
 pub use cache::{CacheDiskStats, ResultCache, CACHE_DIR_ENV};
 pub use engine::Engine;
-pub use handle::JobHandle;
 pub use wire::{WireError, WIRE_SCHEMA_VERSION};
 // The config/outcome vocabulary jobs are written in, re-exported so
 // engine consumers (the `bist` CLI above all) need no substrate crates.
@@ -82,7 +87,7 @@ pub use bist_lint::{
     Span, SCOAP_INF,
 };
 pub use error::BistError;
-pub use progress::{CancelToken, JobId, ProgressEvent, ProgressFeed};
+pub use progress::{CancelToken, JobId, ProgressEvent};
 pub use result::{
     AreaReportOutcome, BakeoffOutcome, CurveOutcome, EstimateOutcome, HdlOutcome, JobResult,
     LintOutcome, SolveAtOutcome, SweepOutcome,

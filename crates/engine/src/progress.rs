@@ -1,19 +1,18 @@
 //! Streaming progress and cooperative cancellation.
 //!
-//! The engine never calls back into user code: it pushes
-//! [`ProgressEvent`]s onto a shared queue and the caller **pulls** them
-//! whenever convenient through a [`ProgressFeed`] — from the same thread
-//! between jobs, or from another thread while a batch runs. Since the
-//! handle redesign each submitted job carries its *own* feed (see
-//! [`JobHandle::progress`](crate::JobHandle::progress)), so consumers
-//! never have to demultiplex interleaved batches. Cancellation is
-//! equally cooperative: a [`CancelToken`] is a flag the caller sets and
-//! running jobs observe at their next checkpoint boundary.
+//! A job reports its progress by calling a sink the caller hands to
+//! [`Engine::run_with`](crate::Engine::run_with) or
+//! [`Engine::run_batch_with`](crate::Engine::run_batch_with): an
+//! `&(dyn Fn(ProgressEvent) + Sync)` that receives every
+//! [`ProgressEvent`] as it happens, on the thread running the job.
+//! Nothing is buffered, so a sink decides what to keep — print it, write
+//! it to a socket, collect it — and it should return promptly, because
+//! the job waits for it. Cancellation is cooperative: a [`CancelToken`]
+//! is a flag the caller (or its sink) sets and running jobs observe at
+//! their next checkpoint boundary.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Identifier of one submitted job, unique within an
 /// [`Engine`](crate::Engine).
@@ -159,149 +158,6 @@ impl ProgressEvent {
     }
 }
 
-/// Pull-based consumer handle for an event stream.
-///
-/// Cloning is cheap; all clones drain the same queue (each event is
-/// delivered once, to whichever handle pulls it first).
-///
-/// Memory stays bounded for every consumer shape: a feed nobody
-/// subscribed to (every caller-side handle dropped) records nothing at
-/// all, and a subscribed-but-idle consumer is capped at
-/// [`ProgressFeed::CAPACITY`] pending events — the oldest are dropped
-/// first and counted by [`ProgressFeed::dropped`].
-///
-/// Consumers may spin on [`ProgressFeed::poll`] or, kinder to the host,
-/// block with [`ProgressFeed::poll_timeout`] — the producing side wakes
-/// sleepers on every push.
-#[derive(Debug, Clone, Default)]
-pub struct ProgressFeed {
-    shared: Arc<FeedShared>,
-}
-
-#[derive(Debug, Default)]
-struct FeedShared {
-    state: Mutex<FeedState>,
-    ready: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct FeedState {
-    events: VecDeque<ProgressEvent>,
-    dropped: u64,
-}
-
-impl ProgressFeed {
-    /// Upper bound on pending (undelivered) events; pushing past it
-    /// drops the oldest pending event.
-    pub const CAPACITY: usize = 65_536;
-
-    /// An empty feed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, FeedState> {
-        self.shared.state.lock().expect("feed lock never poisoned")
-    }
-
-    /// Removes and returns the oldest pending event, if any.
-    pub fn poll(&self) -> Option<ProgressEvent> {
-        self.state().events.pop_front()
-    }
-
-    /// Blocks until an event is pending (returning it) or the timeout
-    /// elapses (returning `None`).
-    ///
-    /// This is the non-busy-waiting sibling of [`ProgressFeed::poll`]:
-    /// the CLI's progress renderer and the `bist serve` event pumps park
-    /// here instead of sleeping in a poll loop, and wake on the very
-    /// push that makes an event available.
-    pub fn poll_timeout(&self, timeout: Duration) -> Option<ProgressEvent> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state();
-        loop {
-            if let Some(event) = state.events.pop_front() {
-                return Some(event);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, _timed_out) = self
-                .shared
-                .ready
-                .wait_timeout(state, deadline - now)
-                .expect("feed lock never poisoned");
-            state = next;
-        }
-    }
-
-    /// Removes and returns all pending events, oldest first.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use bist_engine::{CircuitSource, Engine, JobSpec, ProgressEvent};
-    ///
-    /// let engine = Engine::new();
-    /// let handle = engine.submit(JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8]));
-    /// let feed = handle.progress().clone(); // survives the wait below
-    /// handle.wait()?;
-    ///
-    /// let events = feed.drain();
-    /// // lifecycle brackets with one checkpoint per solved prefix length
-    /// assert!(matches!(events.first(), Some(ProgressEvent::Queued { .. })));
-    /// assert!(matches!(events.last(), Some(ProgressEvent::Finished { .. })));
-    /// let checkpoints = events
-    ///     .iter()
-    ///     .filter(|e| matches!(e, ProgressEvent::Checkpoint { .. }))
-    ///     .count();
-    /// assert_eq!(checkpoints, 2);
-    /// assert!(feed.is_empty(), "drain removes what it returns");
-    /// # Ok::<(), bist_engine::BistError>(())
-    /// ```
-    pub fn drain(&self) -> Vec<ProgressEvent> {
-        self.state().events.drain(..).collect()
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.state().events.len()
-    }
-
-    /// True when no event is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events discarded because the queue hit [`ProgressFeed::CAPACITY`]
-    /// without being drained.
-    pub fn dropped(&self) -> u64 {
-        self.state().dropped
-    }
-
-    /// True when someone besides the engine holds a handle on this feed.
-    pub(crate) fn has_subscribers(&self) -> bool {
-        Arc::strong_count(&self.shared) > 1
-    }
-
-    pub(crate) fn push(&self, event: ProgressEvent) {
-        // no subscriber, no record: an engine used purely for its return
-        // values must not accumulate events nobody will ever pull
-        if !self.has_subscribers() {
-            return;
-        }
-        let mut state = self.state();
-        if state.events.len() >= Self::CAPACITY {
-            state.events.pop_front();
-            state.dropped += 1;
-        }
-        state.events.push_back(event);
-        drop(state);
-        self.shared.ready.notify_all();
-    }
-}
-
 /// Cooperative cancellation flag shared between the caller and running
 /// jobs.
 ///
@@ -334,95 +190,6 @@ impl CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn feed_is_fifo_and_shared_between_clones() {
-        let feed = ProgressFeed::new();
-        let other = feed.clone();
-        feed.push(ProgressEvent::Started { job: JobId(1) });
-        feed.push(ProgressEvent::Finished {
-            job: JobId(1),
-            cache_hit: false,
-        });
-        assert_eq!(other.len(), 2);
-        assert_eq!(other.poll(), Some(ProgressEvent::Started { job: JobId(1) }));
-        assert_eq!(
-            feed.poll(),
-            Some(ProgressEvent::Finished {
-                job: JobId(1),
-                cache_hit: false,
-            })
-        );
-        assert!(feed.poll().is_none());
-        assert!(feed.is_empty());
-    }
-
-    #[test]
-    fn unsubscribed_feeds_record_nothing() {
-        // a feed with a single (engine-side) handle drops pushes outright
-        let feed = ProgressFeed::new();
-        feed.push(ProgressEvent::Started { job: JobId(1) });
-        assert!(feed.is_empty());
-        assert_eq!(feed.dropped(), 0);
-    }
-
-    #[test]
-    fn pending_events_are_capped_oldest_first() {
-        let feed = ProgressFeed::new();
-        let subscriber = feed.clone();
-        for i in 0..(ProgressFeed::CAPACITY as u64 + 3) {
-            feed.push(ProgressEvent::Started { job: JobId(i) });
-        }
-        assert_eq!(subscriber.len(), ProgressFeed::CAPACITY);
-        assert_eq!(subscriber.dropped(), 3);
-        // the oldest three were dropped; delivery resumes at JobId(3)
-        assert_eq!(
-            subscriber.poll(),
-            Some(ProgressEvent::Started { job: JobId(3) })
-        );
-    }
-
-    #[test]
-    fn poll_timeout_returns_pending_event_immediately() {
-        let feed = ProgressFeed::new();
-        let subscriber = feed.clone();
-        feed.push(ProgressEvent::Started { job: JobId(7) });
-        assert_eq!(
-            subscriber.poll_timeout(Duration::from_secs(5)),
-            Some(ProgressEvent::Started { job: JobId(7) })
-        );
-    }
-
-    #[test]
-    fn poll_timeout_times_out_empty() {
-        let feed = ProgressFeed::new();
-        let start = Instant::now();
-        assert_eq!(feed.poll_timeout(Duration::from_millis(20)), None);
-        assert!(start.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn poll_timeout_wakes_on_push_from_another_thread() {
-        let feed = ProgressFeed::new();
-        let producer = feed.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            producer.push(ProgressEvent::Finished {
-                job: JobId(9),
-                cache_hit: true,
-            });
-        });
-        // generous timeout: the wake, not the deadline, should end the wait
-        let got = feed.poll_timeout(Duration::from_secs(10));
-        t.join().expect("producer thread");
-        assert_eq!(
-            got,
-            Some(ProgressEvent::Finished {
-                job: JobId(9),
-                cache_hit: true,
-            })
-        );
-    }
 
     #[test]
     fn with_job_retags_every_variant() {

@@ -5,8 +5,11 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
-use bist_engine::{CircuitSource, Engine, JobSpec, ProgressEvent, ResultCache};
+use bist_engine::{
+    BistError, CancelToken, CircuitSource, Engine, JobResult, JobSpec, ProgressEvent, ResultCache,
+};
 
 /// A fresh, private cache directory per test (under cargo's per-target
 /// scratch space, cleaned with the target dir).
@@ -19,6 +22,18 @@ fn fresh_dir(test: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Runs one job with a sink that collects every event.
+fn run_collecting(
+    engine: &Engine,
+    spec: JobSpec,
+) -> (Result<JobResult, BistError>, Vec<ProgressEvent>) {
+    let events = Mutex::new(Vec::new());
+    let result = engine.run_with(spec, &CancelToken::new(), &|event| {
+        events.lock().expect("event lock").push(event);
+    });
+    (result, events.into_inner().expect("event lock"))
 }
 
 fn three_jobs() -> Vec<JobSpec> {
@@ -76,29 +91,44 @@ fn warm_batch_rerun_is_all_hits_and_bit_identical() {
     // from disk — the cache-hit counters are the assertion that zero
     // flow work (fault simulation, ATPG, synthesis) happened
     let warm = Engine::with_threads(1).with_result_cache(ResultCache::at(&dir));
-    let handles = warm.submit_batch(three_jobs());
-    let feeds: Vec<_> = handles.iter().map(|h| h.progress().clone()).collect();
-    let mut warm_results = Vec::new();
-    for handle in handles {
-        // wait() consumes the handle, so sample cache_hit() once done
-        while !handle.is_finished() {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(
-            handle.cache_hit(),
-            Some(true),
-            "warm job answered from the cache"
-        );
-        warm_results.push(handle.wait().expect("job succeeds"));
-    }
+    let events = Mutex::new(Vec::new());
+    let results = warm.run_batch_with(three_jobs(), &CancelToken::new(), &|event| {
+        events.lock().expect("event lock").push(event);
+    });
+    let events = events.into_inner().expect("event lock");
+    let warm_results: Vec<_> = results
+        .into_iter()
+        .map(|r| r.expect("job succeeds"))
+        .collect();
     let cache = warm.cache().expect("attached");
     assert_eq!(cache.hits(), 3, "every warm job must be a cache hit");
     assert_eq!(cache.misses(), 0);
     assert_eq!(cache.stores(), 0);
 
+    // every member is announced before any starts
+    let queued = events
+        .iter()
+        .take_while(|e| matches!(e, ProgressEvent::Queued { .. }))
+        .count();
+    assert_eq!(queued, 3, "{events:?}");
+
     // cached jobs still run the full lifecycle, minus checkpoints
-    for feed in &feeds {
-        let events = feed.drain();
+    let mut ids: Vec<_> = events.iter().map(ProgressEvent::job).collect();
+    ids.sort();
+    ids.dedup();
+    assert_eq!(ids.len(), 3, "three jobs, one id each: {events:?}");
+    for id in ids {
+        let events: Vec<_> = events.iter().filter(|e| e.job() == id).collect();
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                ProgressEvent::Finished {
+                    cache_hit: true,
+                    ..
+                }
+            )),
+            "warm job answered from the cache"
+        );
         assert_eq!(
             events
                 .iter()
@@ -149,11 +179,10 @@ fn warm_estimate_first_job_skips_the_preview() {
 
     // cold: the preview streams, then the exact run computes and stores
     let cold = Engine::with_threads(1).with_result_cache(ResultCache::at(&dir));
-    let handle = cold.submit(with_preview());
-    let feed = handle.progress().clone();
-    let cold_result = handle.wait().expect("sweep succeeds");
+    let (cold_result, events) = run_collecting(&cold, with_preview());
+    let cold_result = cold_result.expect("sweep succeeds");
     assert!(
-        feed.drain()
+        events
             .iter()
             .any(|e| matches!(e, ProgressEvent::Estimate { .. })),
         "cold estimate-first run streams a preview"
@@ -166,10 +195,8 @@ fn warm_estimate_first_job_skips_the_preview() {
         JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8]),
         with_preview(),
     ] {
-        let handle = warm.submit(spec);
-        let feed = handle.progress().clone();
-        let warm_result = handle.wait().expect("sweep succeeds");
-        let events = feed.drain();
+        let (warm_result, events) = run_collecting(&warm, spec);
+        let warm_result = warm_result.expect("sweep succeeds");
         assert!(
             !events
                 .iter()

@@ -1,11 +1,26 @@
 //! Integration tests: every `JobSpec` variant end-to-end through the
 //! `Engine`, plus the event stream, cancellation and the error paths.
 
+use std::sync::Mutex;
+
 use bist_core::{BistSession, MixedSchemeConfig};
 use bist_engine::{
-    BistError, CancelToken, CircuitSource, EmitHdlSpec, Engine, FaultModel, HdlLanguage, JobSpec,
-    ProgressEvent,
+    BistError, CancelToken, CircuitSource, EmitHdlSpec, Engine, FaultModel, HdlLanguage, JobResult,
+    JobSpec, ProgressEvent,
 };
+
+/// Runs `spec` on this thread with a sink that collects every event.
+fn run_collecting(
+    engine: &Engine,
+    spec: JobSpec,
+    cancel: &CancelToken,
+) -> (Result<JobResult, BistError>, Vec<ProgressEvent>) {
+    let events = Mutex::new(Vec::new());
+    let result = engine.run_with(spec, cancel, &|event| {
+        events.lock().expect("event lock").push(event);
+    });
+    (result, events.into_inner().expect("event lock"))
+}
 
 fn serial_config() -> MixedSchemeConfig {
     MixedSchemeConfig {
@@ -178,10 +193,12 @@ fn area_report_prices_the_deterministic_extreme() {
 #[test]
 fn the_event_stream_narrates_a_job_lifecycle_in_order() {
     let engine = Engine::with_threads(1);
-    let handle = engine.submit(JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8]));
-    let feed = handle.progress().clone();
-    handle.wait().expect("sweep job succeeds");
-    let events = feed.drain();
+    let (result, events) = run_collecting(
+        &engine,
+        JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8]),
+        &CancelToken::new(),
+    );
+    result.expect("sweep job succeeds");
     assert!(matches!(&events[0], ProgressEvent::Queued { label, .. } if label == "sweep c17"));
     assert!(matches!(events[1], ProgressEvent::Started { .. }));
     let checkpoints: Vec<(usize, f64)> = events
@@ -209,7 +226,6 @@ fn the_event_stream_narrates_a_job_lifecycle_in_order() {
     // one job id threads through every event
     let id = events[0].job();
     assert!(events.iter().all(|e| e.job() == id));
-    assert!(feed.is_empty(), "drain consumed everything");
 }
 
 #[test]
@@ -219,10 +235,8 @@ fn estimate_first_previews_before_the_first_checkpoint() {
     if let JobSpec::Sweep(s) = &mut spec {
         s.estimate_first = true;
     }
-    let handle = engine.submit(spec);
-    let feed = handle.progress().clone();
-    let result = handle.wait().expect("sweep job succeeds");
-    let events = feed.drain();
+    let (result, events) = run_collecting(&engine, spec, &CancelToken::new());
+    let result = result.expect("sweep job succeeds");
 
     let previews: Vec<usize> = events
         .iter()
@@ -317,14 +331,13 @@ fn cancellation_is_cooperative_and_typed() {
     let engine = Engine::with_threads(1);
     let token = CancelToken::new();
     token.cancel();
-    let handle = engine.submit_with_cancel(
+    let (result, events) = run_collecting(
+        &engine,
         JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8, 16]),
         &token,
     );
-    let feed = handle.progress().clone();
-    let err = handle.wait().expect_err("pre-canceled token stops the job");
+    let err = result.expect_err("pre-canceled token stops the job");
     assert_eq!(err, BistError::Canceled);
-    let events = feed.drain();
     assert!(
         events
             .iter()
@@ -340,15 +353,53 @@ fn cancellation_is_cooperative_and_typed() {
 }
 
 #[test]
+fn a_sink_can_cancel_its_own_job_at_the_first_checkpoint() {
+    let engine = Engine::with_threads(1);
+    let token = CancelToken::new();
+    let caller = std::thread::current().id();
+    let events = Mutex::new(Vec::new());
+    let result = engine.run_with(
+        JobSpec::sweep(CircuitSource::iscas85("c17"), [0, 8, 16]),
+        &token,
+        &|event| {
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "every event arrives on the calling thread"
+            );
+            if matches!(event, ProgressEvent::Checkpoint { .. }) {
+                token.cancel();
+            }
+            events.lock().expect("event lock").push(event);
+        },
+    );
+    assert_eq!(result.expect_err("the sink canceled"), BistError::Canceled);
+    let events = events.into_inner().expect("event lock");
+    let job = events[0].job();
+    assert_eq!(events.len(), 4, "{events:?}");
+    assert_eq!(
+        events[0],
+        ProgressEvent::Queued {
+            job,
+            label: "sweep c17".to_owned()
+        }
+    );
+    assert_eq!(events[1], ProgressEvent::Started { job });
+    assert!(
+        matches!(events[2], ProgressEvent::Checkpoint { prefix_len: 0, .. }),
+        "{events:?}"
+    );
+    assert_eq!(events[3], ProgressEvent::Canceled { job });
+}
+
+#[test]
 fn error_paths_come_back_typed_with_failed_events() {
     let engine = Engine::with_threads(1);
     let mut failures = 0usize;
     let mut run = |spec: JobSpec| {
-        let handle = engine.submit(spec);
-        let feed = handle.progress().clone();
-        let err = handle.wait().expect_err("job fails");
-        failures += feed
-            .drain()
+        let (result, events) = run_collecting(&engine, spec, &CancelToken::new());
+        let err = result.expect_err("job fails");
+        failures += events
             .into_iter()
             .filter(|e| matches!(e, ProgressEvent::Failed { .. }))
             .count();
@@ -373,12 +424,12 @@ fn error_paths_come_back_typed_with_failed_events() {
     let err = run(JobSpec::sweep(CircuitSource::iscas85("c17"), Vec::new()));
     assert!(matches!(err, BistError::InvalidSpec { job: "sweep", .. }));
 
-    assert_eq!(failures, 3, "every failure is narrated on its own feed");
+    assert_eq!(failures, 3, "every failure is narrated to its sink");
 }
 
 #[test]
 fn fault_model_jobs_run_through_the_same_engine_face() {
-    // transition and bridging specs drive the same submit/progress/wait
+    // transition and bridging specs drive the same run/progress
     // machinery as stuck-at ones, and their solutions verify
     let engine = Engine::with_threads(1);
     for model in [FaultModel::Transition, FaultModel::bridging()] {
@@ -386,15 +437,13 @@ fn fault_model_jobs_run_through_the_same_engine_face() {
         if let JobSpec::Sweep(s) = &mut spec {
             s.fault_model = model;
         }
-        let handle = engine.submit(spec);
-        let feed = handle.progress().clone();
-        let result = handle.wait().expect("model sweep succeeds");
+        let (result, events) = run_collecting(&engine, spec, &CancelToken::new());
+        let result = result.expect("model sweep succeeds");
         let sweep = result.as_sweep().expect("sweep outcome");
         assert_eq!(sweep.summary.solutions().len(), 2);
         for solution in sweep.summary.solutions() {
             assert!(solution.generator.verify());
         }
-        let events = feed.drain();
         assert!(matches!(&events[0], ProgressEvent::Queued { label, .. } if label == "sweep c17"));
         let checkpoints = events
             .iter()

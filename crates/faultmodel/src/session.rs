@@ -82,15 +82,6 @@ impl<'c> ModelSession<'c> {
         ModelSession { model, inner }
     }
 
-    /// The collapsed stuck-at universe attached to the session, when
-    /// one is ([`FaultModel::StuckAt`] only).
-    pub fn collapse(&self) -> Option<&bist_fault::CollapsedUniverse> {
-        match &self.inner {
-            Inner::StuckAt(s) => s.collapse(),
-            _ => None,
-        }
-    }
-
     /// The model this session grades.
     pub fn fault_model(&self) -> FaultModel {
         self.model

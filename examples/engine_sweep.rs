@@ -8,11 +8,11 @@
 //!
 //! Arguments: circuit name (default `c432`) and a comma-separated prefix
 //! ladder (default `0,50,100`). The engine validates the spec, runs the
-//! sweep on the `bist-par` pool (`BIST_THREADS` sets the width), streams
-//! queued/started/checkpoint/finished events through the pull-based
-//! feed, and returns the solved frontier.
+//! sweep on this thread with the `bist-par` pool (`BIST_THREADS` sets
+//! the width), prints queued/started/checkpoint/finished events as the
+//! sink receives them, and returns the solved frontier.
 
-use bist::engine::{CircuitSource, Engine, JobSpec, ProgressEvent};
+use bist::engine::{CancelToken, CircuitSource, Engine, JobSpec, ProgressEvent};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = std::env::args().nth(1).unwrap_or_else(|| "c432".to_owned());
@@ -29,25 +29,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sweeping {circuit} at p = {prefixes:?} on {} thread(s)\n",
         engine.threads()
     );
-    let handle = engine.submit(JobSpec::sweep(CircuitSource::iscas85(&circuit), prefixes));
-    let feed = handle.progress().clone();
-    let result = handle.wait()?;
-
-    // the per-job pull-based event stream: every lifecycle step and
-    // per-point checkpoint (with fault coverage so far)
-    for event in feed.drain() {
-        match event {
-            ProgressEvent::Queued { job, label } => println!("{job}: queued   {label}"),
-            ProgressEvent::Started { job } => println!("{job}: started"),
-            ProgressEvent::Checkpoint {
-                job,
-                prefix_len,
-                coverage_pct,
-            } => println!("{job}: solved   p={prefix_len:<6} coverage so far {coverage_pct:.2} %"),
-            ProgressEvent::Finished { job, .. } => println!("{job}: finished"),
-            other => println!("{}: {other:?}", other.job()),
-        }
-    }
+    // the progress sink: every lifecycle step and per-point checkpoint
+    // (with fault coverage so far), printed as it happens
+    let print = |event: ProgressEvent| match event {
+        ProgressEvent::Queued { job, label } => println!("{job}: queued   {label}"),
+        ProgressEvent::Started { job } => println!("{job}: started"),
+        ProgressEvent::Checkpoint {
+            job,
+            prefix_len,
+            coverage_pct,
+        } => println!("{job}: solved   p={prefix_len:<6} coverage so far {coverage_pct:.2} %"),
+        ProgressEvent::Finished { job, .. } => println!("{job}: finished"),
+        other => println!("{}: {other:?}", other.job()),
+    };
+    let spec = JobSpec::sweep(CircuitSource::iscas85(&circuit), prefixes);
+    let result = engine.run_with(spec, &CancelToken::new(), &print)?;
 
     let sweep = result.as_sweep().expect("sweep jobs yield sweep outcomes");
     println!("\n{}", sweep.summary);

@@ -10,11 +10,26 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use bist::engine::wire::{self, Response};
-use bist::engine::{CircuitSource, Engine, JobSpec, ProgressEvent, ResultCache};
+use bist::engine::{
+    BistError, CancelToken, CircuitSource, Engine, JobResult, JobSpec, ProgressEvent, ResultCache,
+};
 use bist_core::prelude::*;
 use bist_faultmodel::estimate_coverage;
+
+/// Runs one job with a sink that collects every event.
+fn run_collecting(
+    engine: &Engine,
+    spec: JobSpec,
+) -> (Result<JobResult, BistError>, Vec<ProgressEvent>) {
+    let events = Mutex::new(Vec::new());
+    let result = engine.run_with(spec, &CancelToken::new(), &|event| {
+        events.lock().expect("event lock").push(event);
+    });
+    (result, events.into_inner().expect("event lock"))
+}
 
 /// A fresh, private cache directory per test (under cargo's per-target
 /// scratch space, cleaned with the target dir).
@@ -115,10 +130,9 @@ fn estimates_survive_wire_and_cache_round_trips() {
 
     // cold: computes and stores; the finished event is not a cache hit
     let cold = Engine::with_threads(1).with_result_cache(ResultCache::at(&dir));
-    let handle = cold.submit(spec());
-    let feed = handle.progress().clone();
-    let cold_result = handle.wait().expect("estimate runs");
-    assert!(feed.drain().iter().any(|e| matches!(
+    let (cold_result, events) = run_collecting(&cold, spec());
+    let cold_result = cold_result.expect("estimate runs");
+    assert!(events.iter().any(|e| matches!(
         e,
         ProgressEvent::Finished {
             cache_hit: false,
@@ -138,11 +152,10 @@ fn estimates_survive_wire_and_cache_round_trips() {
     // warm: a fresh engine over the same directory serves the same
     // bytes from disk and flags the hit in the progress stream
     let warm = Engine::with_threads(1).with_result_cache(ResultCache::at(&dir));
-    let handle = warm.submit(spec());
-    let feed = handle.progress().clone();
-    let warm_result = handle.wait().expect("cached estimate loads");
+    let (warm_result, events) = run_collecting(&warm, spec());
+    let warm_result = warm_result.expect("cached estimate loads");
     assert_eq!(warm.cache().expect("attached").hits(), 1);
-    assert!(feed.drain().iter().any(|e| matches!(
+    assert!(events.iter().any(|e| matches!(
         e,
         ProgressEvent::Finished {
             cache_hit: true,
