@@ -25,14 +25,13 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use bist_engine::wire::{self, Request, Response, ServerStats, WireCacheStats};
-use bist_engine::{BistError, CancelToken, Engine, JobId, JobSpec, ProgressEvent, ResultCache};
+use bist_engine::{CancelToken, Engine, JobId, JobSpec, ProgressEvent, ResultCache};
 
 use crate::commands::CommandError;
 
@@ -313,24 +312,22 @@ impl Server {
                     .map_err(spawn_err)?,
             );
         }
+        // acceptors are detached like the readers: the drain is over when
+        // the workers are, whether or not an acceptor has seen its wake-up
         if let Some(listener) = self.tcp {
             let shared = self.shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("bist-serve-accept-tcp".to_owned())
-                    .spawn(move || accept_tcp(&shared, &listener))
-                    .map_err(spawn_err)?,
-            );
+            std::thread::Builder::new()
+                .name("bist-serve-accept-tcp".to_owned())
+                .spawn(move || accept_tcp(&shared, &listener))
+                .map_err(spawn_err)?;
         }
         #[cfg(unix)]
         if let Some(listener) = self.unix {
             let shared = self.shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("bist-serve-accept-unix".to_owned())
-                    .spawn(move || accept_unix(&shared, &listener))
-                    .map_err(spawn_err)?,
-            );
+            std::thread::Builder::new()
+                .name("bist-serve-accept-unix".to_owned())
+                .spawn(move || accept_unix(&shared, &listener))
+                .map_err(spawn_err)?;
         }
         for thread in threads {
             let _ = thread.join();
@@ -481,20 +478,22 @@ fn admit(shared: &Shared, client: u64, spec: JobSpec, writer: &ClientWriter) {
 /// run to completion. Answers the requester with [`Response::Stopping`],
 /// the queue depth at the moment of the request.
 ///
-/// Each acceptor is then woken by one connection to its own listener,
-/// after which it sees the flag and returns. The answer is written
-/// first: once the acceptors return, [`Server::serve`] may return and
-/// the process exit.
+/// The answer is written under the sched lock, before the flag is set:
+/// once it is set the workers may finish, [`Server::serve`] return and
+/// the process exit. Each acceptor is then woken by one connection to
+/// its own listener, after which it sees the flag and returns; a wake-up
+/// that fails leaves it blocked until the process exits, which delays
+/// nothing.
 fn begin_drain(shared: &Shared, writer: &ClientWriter) {
     let sched = shared.sched.lock().expect("sched lock never poisoned");
-    shared.draining.store(true, Ordering::SeqCst);
     let (queued, running) = (sched.queued as u64, sched.running as u64);
-    drop(sched);
-    shared.work_ready.notify_all();
     send_line(
         writer,
         &wire::encode_response(&Response::Stopping { queued, running }),
     );
+    shared.draining.store(true, Ordering::SeqCst);
+    drop(sched);
+    shared.work_ready.notify_all();
     if let Some(mut addr) = shared.tcp_addr {
         if addr.ip().is_unspecified() {
             addr.set_ip(match addr.ip() {
@@ -556,12 +555,13 @@ fn run_ticket(shared: &Shared, ticket: Ticket) {
             cancel.cancel();
         }
     };
-    // a job that panics answers `failed` like any other error, and this
-    // worker keeps serving
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        shared.engine.run_with(spec, &cancel, &forward)
-    }))
-    .unwrap_or(Err(BistError::Canceled));
+    // a one-job batch runs on this thread, and a job that panics answers
+    // `failed` ("job canceled") while this worker keeps serving
+    let outcome = shared
+        .engine
+        .run_batch_with(vec![spec], &cancel, &forward)
+        .pop()
+        .expect("one result per spec");
     let response = match outcome {
         Ok(result) => {
             shared.completed.fetch_add(1, Ordering::SeqCst);

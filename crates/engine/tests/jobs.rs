@@ -1,7 +1,7 @@
 //! Integration tests: every `JobSpec` variant end-to-end through the
 //! `Engine`, plus the event stream, cancellation and the error paths.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use bist_core::{BistSession, MixedSchemeConfig};
 use bist_engine::{
@@ -390,6 +390,47 @@ fn a_sink_can_cancel_its_own_job_at_the_first_checkpoint() {
         "{events:?}"
     );
     assert_eq!(events[3], ProgressEvent::Canceled { job });
+}
+
+#[test]
+fn a_batch_member_that_panics_answers_canceled_while_the_others_finish() {
+    // width 1 runs the members inline, width 2 on pool workers
+    for threads in [1, 2] {
+        let engine = Engine::with_threads(threads);
+        let first = OnceLock::new();
+        let finished = Mutex::new(Vec::new());
+        let results = engine.run_batch_with(
+            vec![
+                JobSpec::solve_at(CircuitSource::iscas85("c17"), 8),
+                JobSpec::solve_at(CircuitSource::iscas85("c17"), 16),
+            ],
+            &CancelToken::new(),
+            &|event| match event {
+                ProgressEvent::Queued { job, .. } => {
+                    first.get_or_init(|| job);
+                }
+                ProgressEvent::Started { job } if first.get() == Some(&job) => {
+                    panic!("the sink panics on the first member's start");
+                }
+                ProgressEvent::Finished { job, .. } => {
+                    finished.lock().expect("event lock").push(job);
+                }
+                _ => {}
+            },
+        );
+        assert_eq!(results.len(), 2);
+        assert_eq!(
+            results[0].as_ref().expect_err("the first member panicked"),
+            &BistError::Canceled,
+            "threads={threads}"
+        );
+        let solved = results[1].as_ref().expect("the second member finishes");
+        let solved = solved.as_solve_at().expect("solve outcome");
+        assert_eq!(solved.solution.prefix_len, 16, "threads={threads}");
+        let finished = finished.into_inner().expect("event lock");
+        assert_eq!(finished.len(), 1, "threads={threads}");
+        assert_ne!(Some(&finished[0]), first.get());
+    }
 }
 
 #[test]
