@@ -1,8 +1,8 @@
 //! **bench_check** — gates CI on a committed `BENCH_sweep.json` baseline.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin bench_check -- BENCH_sweep.json ci/bench_baseline.json
-//! cargo run --release -p bist-bench --bin bench_check -- BENCH_sweep.json ci/bench_baseline.json 20
+//! bist-bench bench_check BENCH_sweep.json ci/bench_baseline.json
+//! bist-bench bench_check BENCH_sweep.json ci/bench_baseline.json 20
 //! ```
 //!
 //! Four gates — a schema gate on each file, then three per circuit:
@@ -23,46 +23,51 @@
 //!    stay positive: a sweep that stops reusing deterministic searches
 //!    has silently lost its main optimization.
 //!
-//! Exits non-zero listing every violated gate. The parser handles exactly
-//! the fixed format `bench_sweep` emits — not general JSON.
+//! Both files are parsed with [`bist_engine::json::parse`]. Exits 1
+//! listing every violated gate, 2 on a usage error.
 
 use std::process::ExitCode;
 
-use bist_bench::schema::{check_schema, circuit_blocks, num_field, points_of};
+use bist_bench::schema::check_schema;
+use bist_engine::json::{self, Json};
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (measured_path, baseline_path) = match (args.first(), args.get(1)) {
-        (Some(m), Some(b)) => (m.clone(), b.clone()),
+pub fn run(argv: &[String]) -> ExitCode {
+    let (measured_path, baseline_path, tolerance) = match argv {
+        [m, b] => (m, b, None),
+        [m, b, t] => (m, b, Some(t)),
         _ => {
             eprintln!("usage: bench_check <measured.json> <baseline.json> [tolerance_pct]");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
-    let tolerance_pct: f64 = match args.get(2).map(|t| t.parse()) {
+    let tolerance_pct: f64 = match tolerance.map(|t| t.parse()) {
         None => 20.0,
         Some(Ok(t)) => t,
         Some(Err(_)) => {
-            eprintln!("bench_check: tolerance must be a number, got `{}`", args[2]);
-            return ExitCode::FAILURE;
+            eprintln!("bench_check: tolerance must be a number, got `{}`", argv[2]);
+            return ExitCode::from(2);
         }
     };
 
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(text) => Some(text),
-        Err(e) => {
-            eprintln!("bench_check: cannot read {path}: {e}");
-            None
-        }
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("bench_check: cannot read {path}: {e}"))?;
+        json::parse(&text).map_err(|e| format!("bench_check: {path}: {e}"))
     };
-    let (Some(measured), Some(baseline)) = (read(&measured_path), read(&baseline_path)) else {
-        return ExitCode::FAILURE;
+    let (measured, baseline) = match (read(measured_path), read(baseline_path)) {
+        (Ok(measured), Ok(baseline)) => (measured, baseline),
+        (measured, baseline) => {
+            for message in [measured.err(), baseline.err()].into_iter().flatten() {
+                eprintln!("{message}");
+            }
+            return ExitCode::FAILURE;
+        }
     };
 
     // gate 0: never compare files of different layouts
     for schema in [
-        check_schema(&measured_path, &measured),
-        check_schema(&baseline_path, &baseline),
+        check_schema(measured_path, &measured),
+        check_schema(baseline_path, &baseline),
     ] {
         if let Err(message) = schema {
             eprintln!("bench_check FAILURE: {message}");
@@ -70,41 +75,42 @@ fn main() -> ExitCode {
         }
     }
 
+    let shown = |value: Option<&Json>| value.map_or_else(|| "missing".to_owned(), Json::render);
     let mut failures: Vec<String> = Vec::new();
-    let baseline_circuits = circuit_blocks(&baseline);
-    if baseline_circuits.is_empty() {
+    if circuits(&baseline).is_empty() {
         failures.push(format!("baseline {baseline_path} lists no circuits"));
     }
-    for (name, base_block) in &baseline_circuits {
-        let Some(meas_block) = circuit_blocks(&measured)
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| b)
+    for base in circuits(&baseline) {
+        let name = name_of(base).unwrap_or("?");
+        let Some(meas) = circuits(&measured)
+            .iter()
+            .find(|c| name_of(c) == Some(name))
         else {
             failures.push(format!("{name}: missing from {measured_path}"));
             continue;
         };
 
         // gate 1: deterministic outputs
-        match (points_of(base_block), points_of(&meas_block)) {
-            (Some(want), Some(got)) if want == got => {}
-            (want, got) => failures.push(format!(
-                "{name}: solved points drifted from baseline\n  baseline: {want:?}\n  measured: {got:?}"
-            )),
-        }
-        let want_patterns = num_field(base_block, "patterns_simulated");
-        let got_patterns = num_field(&meas_block, "patterns_simulated");
-        if want_patterns != got_patterns {
+        let points = meas.get("points");
+        if base.get("points").is_none() || base.get("points") != points {
             failures.push(format!(
-                "{name}: patterns_simulated {got_patterns:?} != baseline {want_patterns:?}"
+                "{name}: solved points drifted from baseline\n  baseline: {}\n  measured: {}",
+                shown(base.get("points")),
+                shown(points)
+            ));
+        }
+        let patterns = meas.get("patterns_simulated");
+        if base.get("patterns_simulated") != patterns {
+            failures.push(format!(
+                "{name}: patterns_simulated {} != baseline {}",
+                shown(patterns),
+                shown(base.get("patterns_simulated"))
             ));
         }
 
         // gate 2: relative performance
-        let (Some(base_speedup), Some(meas_speedup)) = (
-            num_field(base_block, "speedup"),
-            num_field(&meas_block, "speedup"),
-        ) else {
+        let speedup = |c: &Json| c.get("speedup").and_then(Json::as_f64);
+        let (Some(base_speedup), Some(meas_speedup)) = (speedup(base), speedup(meas)) else {
             failures.push(format!(
                 "{name}: speedup field missing from one of the files"
             ));
@@ -121,8 +127,11 @@ fn main() -> ExitCode {
         }
 
         // gate 3: the sweep keeps reusing deterministic searches
-        let points = points_of(&meas_block).map_or(0, |p| p.len());
-        let hits = num_field(&meas_block, "atpg_cache_hits").unwrap_or(0.0);
+        let points = points.and_then(Json::as_array).map_or(0, <[Json]>::len);
+        let hits = meas
+            .get("atpg_cache_hits")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0);
         if points > 1 && hits <= 0.0 {
             failures.push(format!(
                 "{name}: multi-point sweep reports no ATPG cache reuse (atpg_cache_hits = {hits})"
@@ -139,4 +148,12 @@ fn main() -> ExitCode {
         }
         ExitCode::FAILURE
     }
+}
+
+fn circuits(doc: &Json) -> &[Json] {
+    doc.get("circuits").and_then(Json::as_array).unwrap_or(&[])
+}
+
+fn name_of(circuit: &Json) -> Option<&str> {
+    circuit.get("circuit").and_then(Json::as_str)
 }

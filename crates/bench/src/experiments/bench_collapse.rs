@@ -3,9 +3,9 @@
 //! representative-grading speedup are tracked over time.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin bench_collapse
-//! cargo run --release -p bist-bench --bin bench_collapse -- --quick
-//! cargo run --release -p bist-bench --bin bench_collapse -- --circuits c880 --patterns 2048
+//! bist-bench bench_collapse
+//! bist-bench bench_collapse --quick
+//! bist-bench bench_collapse --circuits c880 --patterns 2048
 //! ```
 //!
 //! Three measurements per circuit, all over the same LFSR pseudo-random
@@ -32,52 +32,33 @@
 //! `*_seconds` and ratio fields move between machines. Writes
 //! `BENCH_collapse.json` into the current directory.
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use bist_bench::schema::{Fnv, SCHEMA_VERSION};
+use bist_bench::schema::{write_artifact, Fnv};
 use bist_bench::{banner, ExperimentArgs};
 use bist_core::prelude::*;
+use bist_engine::json::Json;
 use bist_fault::CollapsedUniverse;
-use bist_faultmodel::{estimate_coverage, CoverageEstimate};
+use bist_faultmodel::estimate_coverage;
 use bist_par::Pool;
 
-struct CircuitResult {
-    name: String,
-    patterns: usize,
-    stats: bist_fault::CollapseStats,
-    coverage_pct: f64,
-    full_seconds: f64,
-    collapsed_seconds: f64,
-    estimate: CoverageEstimate,
-    estimate_seconds: f64,
-    session_prefix: usize,
-    session_collapsed_seconds: f64,
-    session_full_seconds: f64,
-    session_digest: u64,
-}
-
-fn main() {
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c432", "c3540"]);
     banner(
         "BENCH collapse",
         "universe cuts, representative-grading speedup, estimate-vs-exact cost",
     );
-    let args = ExperimentArgs::parse(&["c432", "c3540"]);
     args.warn_fixed_format("bench_collapse");
-    let patterns_budget = match args
-        .extra
-        .iter()
-        .position(|a| a == "--patterns")
-        .and_then(|i| args.extra.get(i + 1))
-    {
-        Some(v) => v.parse().expect("--patterns takes a pattern count"),
+    let patterns_budget = match args.patterns {
+        Some(budget) => budget,
         None if args.quick => 512,
         None => 4_096,
     };
     let config = MixedSchemeConfig::default();
     println!("pattern budget: {patterns_budget}\n");
 
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     for circuit in args.load_circuits() {
         let name = circuit.name().to_owned();
         let universe = CollapsedUniverse::build(&circuit);
@@ -171,73 +152,53 @@ fn main() {
             session_full_seconds,
             session_full_seconds / session_collapsed_seconds,
         );
-        results.push(CircuitResult {
-            name,
-            patterns: patterns_budget,
-            stats,
-            coverage_pct: exact_pct,
-            full_seconds,
-            collapsed_seconds,
-            estimate,
-            estimate_seconds,
-            session_prefix,
-            session_collapsed_seconds,
-            session_full_seconds,
-            session_digest,
-        });
+        let mut row = Json::object();
+        row.push("circuit", Json::str(name))
+            .push("patterns", Json::uint(patterns_budget))
+            .push("full_universe", Json::uint(stats.full))
+            .push("representatives", Json::uint(stats.representatives))
+            .push("prime", Json::uint(stats.prime))
+            .push("cut_pct", Json::Float(stats.cut_pct))
+            .push("coverage_pct", Json::Float(exact_pct))
+            .push("full_sim_seconds", Json::Float(full_seconds))
+            .push("collapsed_sim_seconds", Json::Float(collapsed_seconds))
+            .push(
+                "grading_speedup",
+                Json::Float(full_seconds / collapsed_seconds),
+            )
+            .push("estimate_samples", Json::uint(estimate.samples))
+            .push("estimate_pct", Json::Float(estimate.estimate_pct))
+            .push("estimate_lo_pct", Json::Float(estimate.lo_pct))
+            .push("estimate_hi_pct", Json::Float(estimate.hi_pct))
+            .push("estimate_seconds", Json::Float(estimate_seconds))
+            .push(
+                "estimate_vs_exact_pct",
+                Json::Float(100.0 * estimate_seconds / full_seconds),
+            )
+            .push("session_prefix", Json::uint(session_prefix))
+            .push(
+                "session_collapsed_seconds",
+                Json::Float(session_collapsed_seconds),
+            )
+            .push("session_full_seconds", Json::Float(session_full_seconds))
+            .push(
+                "session_speedup",
+                Json::Float(session_full_seconds / session_collapsed_seconds),
+            )
+            .push(
+                "session_digest",
+                Json::str(format!("{session_digest:016x}")),
+            );
+        rows.push(row);
     }
 
-    let json = render_json(args.threads, &results);
-    std::fs::write("BENCH_collapse.json", &json).expect("writable working directory");
-    println!("\nwrote BENCH_collapse.json ({} bytes)", json.len());
-}
-
-fn render_json(threads: usize, results: &[CircuitResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"collapse\",\n");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"threads\": {},", Pool::resolve(threads).threads());
-    out.push_str("  \"circuits\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"circuit\": \"{}\",\n      \"patterns\": {},\n      \
-             \"full_universe\": {},\n      \"representatives\": {},\n      \
-             \"prime\": {},\n      \"cut_pct\": {:.2},\n      \
-             \"coverage_pct\": {:.4},\n      \"full_sim_seconds\": {:.6},\n      \
-             \"collapsed_sim_seconds\": {:.6},\n      \"grading_speedup\": {:.3},\n      \
-             \"estimate_samples\": {},\n      \"estimate_pct\": {:.4},\n      \
-             \"estimate_lo_pct\": {:.4},\n      \"estimate_hi_pct\": {:.4},\n      \
-             \"estimate_seconds\": {:.6},\n      \"estimate_vs_exact_pct\": {:.2},\n      \
-             \"session_prefix\": {},\n      \
-             \"session_collapsed_seconds\": {:.6},\n      \
-             \"session_full_seconds\": {:.6},\n      \
-             \"session_speedup\": {:.3},\n      \
-             \"session_digest\": \"{:016x}\"\n    }}",
-            r.name,
-            r.patterns,
-            r.stats.full,
-            r.stats.representatives,
-            r.stats.prime,
-            r.stats.cut_pct,
-            r.coverage_pct,
-            r.full_seconds,
-            r.collapsed_seconds,
-            r.full_seconds / r.collapsed_seconds,
-            r.estimate.samples,
-            r.estimate.estimate_pct,
-            r.estimate.lo_pct,
-            r.estimate.hi_pct,
-            r.estimate_seconds,
-            100.0 * r.estimate_seconds / r.full_seconds,
-            r.session_prefix,
-            r.session_collapsed_seconds,
-            r.session_full_seconds,
-            r.session_full_seconds / r.session_collapsed_seconds,
-            r.session_digest,
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    write_artifact(
+        "BENCH_collapse.json",
+        "collapse",
+        vec![
+            ("threads", Json::uint(Pool::resolve(args.threads).threads())),
+            ("circuits", Json::Array(rows)),
+        ],
+    );
+    ExitCode::SUCCESS
 }

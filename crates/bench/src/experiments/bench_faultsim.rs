@@ -3,10 +3,10 @@
 //! time independently of the end-to-end sweep numbers.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin bench_faultsim
-//! cargo run --release -p bist-bench --bin bench_faultsim -- --quick
-//! cargo run --release -p bist-bench --bin bench_faultsim -- --circuits c432 --patterns 2048
-//! cargo run --release -p bist-bench --bin bench_faultsim -- --threads 1   # the committed artifact
+//! bist-bench bench_faultsim
+//! bist-bench bench_faultsim --quick
+//! bist-bench bench_faultsim --circuits c432 --patterns 2048
+//! bist-bench bench_faultsim --threads 1   # the committed artifact
 //! ```
 //!
 //! Two phases per circuit, both over the same LFSR pseudo-random
@@ -30,47 +30,32 @@
 //! means the engine's work changed, not just its speed. Writes
 //! `BENCH_faultsim.json` into the current directory.
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use bist_bench::schema::SCHEMA_VERSION;
+use bist_bench::schema::write_artifact;
 use bist_bench::{banner, ExperimentArgs};
 use bist_core::prelude::*;
+use bist_engine::json::Json;
 use bist_logicsim::PatternBlock;
 use bist_par::Pool;
 
-struct CircuitResult {
-    name: String,
-    patterns: usize,
-    faults: usize,
-    detected: usize,
-    good_seconds: f64,
-    good_gate_evals: u64,
-    sim_seconds: f64,
-    counters: SimCounters,
-}
-
-fn main() {
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c432", "c5315", "c7552"]);
     banner(
         "BENCH faultsim",
         "flattened-core throughput: good-machine gate evals, cone events, blocks",
     );
-    let args = ExperimentArgs::parse(&["c432", "c5315", "c7552"]);
     args.warn_fixed_format("bench_faultsim");
-    let patterns_budget = match args
-        .extra
-        .iter()
-        .position(|a| a == "--patterns")
-        .and_then(|i| args.extra.get(i + 1))
-    {
-        Some(v) => v.parse().expect("--patterns takes a pattern count"),
+    let patterns_budget = match args.patterns {
+        Some(budget) => budget,
         None if args.quick => 1_024,
         None => 8_192,
     };
     let config = MixedSchemeConfig::default();
     println!("pattern budget: {patterns_budget}\n");
 
-    let mut results = Vec::new();
+    let mut rows = Vec::new();
     for circuit in args.load_circuits() {
         let name = circuit.name().to_owned();
         let width = circuit.inputs().len();
@@ -117,55 +102,40 @@ fn main() {
             detected,
             universe,
         );
-        results.push(CircuitResult {
-            name,
-            patterns: patterns_budget,
-            faults: universe,
-            detected,
-            good_seconds,
-            good_gate_evals,
-            sim_seconds,
-            counters,
-        });
+        let count = |v: u64| Json::uint(v as usize);
+        let mut row = Json::object();
+        row.push("circuit", Json::str(name))
+            .push("patterns", Json::uint(patterns_budget))
+            .push("faults", Json::uint(universe))
+            .push("detected", Json::uint(detected))
+            .push("good_sim_seconds", Json::Float(good_seconds))
+            .push("good_gate_evals", count(good_gate_evals))
+            .push(
+                "good_gate_evals_per_sec",
+                Json::Float(good_gate_evals as f64 / good_seconds),
+            )
+            .push("sim_seconds", Json::Float(sim_seconds))
+            .push("blocks", count(counters.blocks))
+            .push(
+                "blocks_per_sec",
+                Json::Float(counters.blocks as f64 / sim_seconds),
+            )
+            .push("cone_events", count(counters.cone_events))
+            .push(
+                "cone_events_per_sec",
+                Json::Float(counters.cone_events as f64 / sim_seconds),
+            )
+            .push("fault_evals", count(counters.fault_evals));
+        rows.push(row);
     }
 
-    let json = render_json(args.threads, &results);
-    std::fs::write("BENCH_faultsim.json", &json).expect("writable working directory");
-    println!("\nwrote BENCH_faultsim.json ({} bytes)", json.len());
-}
-
-fn render_json(threads: usize, results: &[CircuitResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"faultsim\",\n");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"threads\": {},", Pool::resolve(threads).threads());
-    out.push_str("  \"circuits\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"circuit\": \"{}\",\n      \"patterns\": {},\n      \
-             \"faults\": {},\n      \"detected\": {},\n      \
-             \"good_sim_seconds\": {:.6},\n      \"good_gate_evals\": {},\n      \
-             \"good_gate_evals_per_sec\": {:.0},\n      \"sim_seconds\": {:.6},\n      \
-             \"blocks\": {},\n      \"blocks_per_sec\": {:.1},\n      \
-             \"cone_events\": {},\n      \"cone_events_per_sec\": {:.0},\n      \
-             \"fault_evals\": {}\n    }}",
-            r.name,
-            r.patterns,
-            r.faults,
-            r.detected,
-            r.good_seconds,
-            r.good_gate_evals,
-            r.good_gate_evals as f64 / r.good_seconds,
-            r.sim_seconds,
-            r.counters.blocks,
-            r.counters.blocks as f64 / r.sim_seconds,
-            r.counters.cone_events,
-            r.counters.cone_events as f64 / r.sim_seconds,
-            r.counters.fault_evals,
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    write_artifact(
+        "BENCH_faultsim.json",
+        "faultsim",
+        vec![
+            ("threads", Json::uint(Pool::resolve(args.threads).threads())),
+            ("circuits", Json::Array(rows)),
+        ],
+    );
+    ExitCode::SUCCESS
 }

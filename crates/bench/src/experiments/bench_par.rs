@@ -3,9 +3,9 @@
 //! measurement.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin bench_par
-//! cargo run --release -p bist-bench --bin bench_par -- --quick
-//! cargo run --release -p bist-bench --bin bench_par -- --circuits c3540 --threads 8
+//! bist-bench bench_par
+//! bist-bench bench_par --quick
+//! bist-bench bench_par --circuits c3540 --threads 8
 //! ```
 //!
 //! For each circuit one `JobSpec::CoverageCurve` (full mixed fault
@@ -25,32 +25,25 @@
 //! to the machine; see DESIGN.md §16): smaller blocks, and every width
 //! on a machine narrower than the pool, grade inline, so the JSON then
 //! documents the overhead-free fallback rather than the scaling. This
-//! binary is what placed that walk-count cutoff.
+//! experiment is what placed that walk-count cutoff.
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use bist_bench::schema::SCHEMA_VERSION;
+use bist_bench::schema::write_artifact;
 use bist_bench::{banner, ExperimentArgs};
 use bist_core::prelude::*;
+use bist_engine::json::Json;
 use bist_engine::{CoverageCurveSpec, Engine, JobSpec};
 
-struct CircuitScaling {
-    name: String,
-    patterns: usize,
-    faults: usize,
-    /// `(threads, seconds)` per measured width.
-    times: Vec<(usize, f64)>,
-}
-
-fn main() {
+pub fn run(argv: &[String]) -> ExitCode {
+    // c432's blocks never reach the sharding cutoff, so its row would
+    // time the inline fallback at every width
+    let args = ExperimentArgs::parse(argv, &["c3540", "c5315"]);
     banner(
         "BENCH par",
         "PPSFP fault-simulation scaling across pool widths",
     );
-    // c432's blocks never reach the sharding cutoff, so its row would
-    // time the inline fallback at every width
-    let args = ExperimentArgs::parse(&["c3540", "c5315"]);
     args.warn_fixed_format("bench_par");
     let budget = if args.quick { 500 } else { 2000 };
     let max_threads = if args.threads > 0 {
@@ -65,7 +58,7 @@ fn main() {
     println!("pattern budget {budget}, pool widths {widths:?}\n");
 
     let poly = MixedSchemeConfig::default().poly;
-    let mut results: Vec<CircuitScaling> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
     for source in args.sources() {
         let circuit = source.realize().unwrap_or_else(|e| {
             eprintln!("cannot load circuit: {e}");
@@ -161,46 +154,31 @@ fn main() {
             budget,
             line.join(" | ")
         );
-        results.push(CircuitScaling {
-            name: source.label().to_owned(),
-            patterns: budget,
-            faults,
-            times,
-        });
-    }
-
-    let json = render_json(budget, &results);
-    std::fs::write("BENCH_par.json", &json).expect("writable working directory");
-    println!("\nwrote BENCH_par.json ({} bytes)", json.len());
-}
-
-fn render_json(budget: usize, results: &[CircuitScaling]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"par_scaling\",\n");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"pattern_budget\": {budget},");
-    out.push_str("  \"circuits\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let serial_s = r.times[0].1;
-        let runs = r
-            .times
+        let runs = times
             .iter()
             .map(|&(w, s)| {
-                format!(
-                    "{{\"threads\": {w}, \"seconds\": {s:.4}, \"speedup\": {:.3}}}",
-                    serial_s / s
-                )
+                let mut run = Json::object();
+                run.push("threads", Json::uint(w))
+                    .push("seconds", Json::Float(s))
+                    .push("speedup", Json::Float(serial_s / s));
+                run
             })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            out,
-            "    {{\n      \"circuit\": \"{}\",\n      \"faults\": {},\n      \
-             \"patterns\": {},\n      \"runs\": [{}]\n    }}",
-            r.name, r.faults, r.patterns, runs
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
+            .collect();
+        let mut row = Json::object();
+        row.push("circuit", Json::str(source.label()))
+            .push("faults", Json::uint(faults))
+            .push("patterns", Json::uint(budget))
+            .push("runs", Json::Array(runs));
+        rows.push(row);
     }
-    out.push_str("  ]\n}\n");
-    out
+
+    write_artifact(
+        "BENCH_par.json",
+        "par_scaling",
+        vec![
+            ("pattern_budget", Json::uint(budget)),
+            ("circuits", Json::Array(rows)),
+        ],
+    );
+    ExitCode::SUCCESS
 }

@@ -3,10 +3,10 @@
 //! so the perf trajectory of the workspace is tracked over time.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin bench_sweep
-//! cargo run --release -p bist-bench --bin bench_sweep -- --quick
-//! cargo run --release -p bist-bench --bin bench_sweep -- --circuits c432
-//! cargo run --release -p bist-bench --bin bench_sweep -- --threads 4
+//! bist-bench bench_sweep
+//! bist-bench bench_sweep --quick
+//! bist-bench bench_sweep --circuits c432
+//! bist-bench bench_sweep --threads 4
 //! ```
 //!
 //! Both paths run through the `bist-engine` job API: the session path is
@@ -27,8 +27,9 @@
 //! both legs commit the same full-universe statuses at every
 //! checkpoint.
 //!
-//! The JSON carries a `schema_version` (currently 2); `bench_check`
-//! refuses to compare files of different versions. The emitted
+//! The JSON carries the shared artifact header (`schema_version`,
+//! currently 2, and `available_parallelism`); `bench_check` refuses to
+//! compare files of different versions. The emitted
 //! `atpg_cache_hits` is the total deterministic-search reuse of the
 //! session path: whole top-ups answered for an already-seen frontier
 //! (`atpg_frontier_hits`) plus individual PODEM searches answered from
@@ -37,26 +38,14 @@
 //! the *solved results* and the work counters are identical at every
 //! width; compare timings only between runs of the same width.
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
-use bist_bench::schema::{Fnv, SCHEMA_VERSION};
+use bist_bench::schema::{points, write_artifact, Fnv};
 use bist_bench::{banner, ExperimentArgs};
 use bist_core::prelude::*;
+use bist_engine::json::Json;
 use bist_engine::{CircuitSource, Engine, FaultModel, JobSpec, SolveAtSpec, SweepSpec};
-
-struct CircuitResult {
-    name: String,
-    session_s: f64,
-    oneshot_s: f64,
-    grading_session_s: f64,
-    grading_oneshot_s: f64,
-    collapsed_session_s: f64,
-    full_universe_session_s: f64,
-    projected_digest: u64,
-    stats: SessionStats,
-    points: Vec<(usize, usize)>,
-}
 
 /// FNV-1a over the full-universe status vector — the cross-leg
 /// fingerprint written into the JSON.
@@ -68,12 +57,12 @@ fn absorb_statuses(digest: &mut Fnv, statuses: &[FaultStatus]) {
     }
 }
 
-fn main() {
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c432", "c3540"]);
     banner(
         "BENCH sweep",
         "incremental JobSpec::Sweep vs point-wise one-shot JobSpec::SolveAt",
     );
-    let args = ExperimentArgs::parse(&["c432", "c3540"]);
     args.warn_fixed_format("bench_sweep");
     let prefixes: Vec<usize> = if args.quick {
         vec![0, 50, 100]
@@ -88,7 +77,7 @@ fn main() {
     let threads = engine.threads();
     println!("prefix checkpoints: {prefixes:?}  ({threads} threads)\n");
 
-    let mut results: Vec<CircuitResult> = Vec::new();
+    let mut rows: Vec<Json> = Vec::new();
     for named_source in args.sources() {
         let name = named_source.label().to_owned();
         // realize once, outside every timed region, and hand all timed
@@ -270,88 +259,66 @@ fn main() {
             stats.atpg_cache_hits,
             stats.podem_cache_hits,
         );
-        results.push(CircuitResult {
-            name,
-            session_s,
-            oneshot_s,
-            grading_session_s,
-            grading_oneshot_s,
-            collapsed_session_s,
-            full_universe_session_s,
-            projected_digest,
-            stats,
-            points: sweep
-                .summary
-                .solutions()
-                .iter()
-                .map(|s| (s.prefix_len, s.det_len))
-                .collect(),
-        });
+        let mut row = Json::object();
+        row.push("circuit", Json::str(name))
+            .push("session_seconds", Json::Float(session_s))
+            .push("oneshot_seconds", Json::Float(oneshot_s))
+            .push("speedup", Json::Float(oneshot_s / session_s))
+            .push(
+                "prefix_grading_session_seconds",
+                Json::Float(grading_session_s),
+            )
+            .push(
+                "prefix_grading_oneshot_seconds",
+                Json::Float(grading_oneshot_s),
+            )
+            .push(
+                "prefix_grading_speedup",
+                Json::Float(grading_oneshot_s / grading_session_s),
+            )
+            .push(
+                "collapsed_session_seconds",
+                Json::Float(collapsed_session_s),
+            )
+            .push(
+                "full_universe_session_seconds",
+                Json::Float(full_universe_session_s),
+            )
+            .push(
+                "collapsed_session_speedup",
+                Json::Float(full_universe_session_s / collapsed_session_s),
+            )
+            .push(
+                "projected_digest",
+                Json::str(format!("{projected_digest:016x}")),
+            )
+            .push("patterns_simulated", Json::uint(stats.patterns_simulated))
+            .push(
+                "patterns_resimulated",
+                Json::uint(stats.patterns_resimulated),
+            )
+            .push("atpg_runs", Json::uint(stats.atpg_runs))
+            .push(
+                "atpg_cache_hits",
+                Json::uint(stats.atpg_cache_hits + stats.podem_cache_hits),
+            )
+            .push("atpg_frontier_hits", Json::uint(stats.atpg_cache_hits))
+            .push("podem_cache_hits", Json::uint(stats.podem_cache_hits))
+            .push("points", points(sweep.summary.solutions()));
+        rows.push(row);
     }
 
-    let json = render_json(&prefixes, threads, &results);
-    std::fs::write("BENCH_sweep.json", &json).expect("writable working directory");
-    println!("\nwrote BENCH_sweep.json ({} bytes)", json.len());
-}
-
-fn render_json(prefixes: &[usize], threads: usize, results: &[CircuitResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"experiment\": \"sweep\",\n");
-    let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(
-        out,
-        "  \"prefix_lengths\": [{}],",
-        prefixes
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
+    write_artifact(
+        "BENCH_sweep.json",
+        "sweep",
+        vec![
+            ("threads", Json::uint(threads)),
+            (
+                "prefix_lengths",
+                Json::Array(prefixes.iter().map(|&p| Json::uint(p)).collect()),
+            ),
+            ("circuits", Json::Array(rows)),
+        ],
     );
-    out.push_str("  \"circuits\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let points = r
-            .points
-            .iter()
-            .map(|(p, d)| format!("{{\"p\": {p}, \"d\": {d}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = write!(
-            out,
-            "    {{\n      \"circuit\": \"{}\",\n      \"session_seconds\": {:.4},\n      \
-             \"oneshot_seconds\": {:.4},\n      \"speedup\": {:.3},\n      \
-             \"prefix_grading_session_seconds\": {:.4},\n      \
-             \"prefix_grading_oneshot_seconds\": {:.4},\n      \
-             \"prefix_grading_speedup\": {:.3},\n      \
-             \"collapsed_session_seconds\": {:.4},\n      \
-             \"full_universe_session_seconds\": {:.4},\n      \
-             \"collapsed_session_speedup\": {:.3},\n      \
-             \"projected_digest\": \"{:016x}\",\n      \
-             \"patterns_simulated\": {},\n      \"patterns_resimulated\": {},\n      \
-             \"atpg_runs\": {},\n      \"atpg_cache_hits\": {},\n      \
-             \"atpg_frontier_hits\": {},\n      \"podem_cache_hits\": {},\n      \
-             \"points\": [{}]\n    }}",
-            r.name,
-            r.session_s,
-            r.oneshot_s,
-            r.oneshot_s / r.session_s,
-            r.grading_session_s,
-            r.grading_oneshot_s,
-            r.grading_oneshot_s / r.grading_session_s,
-            r.collapsed_session_s,
-            r.full_universe_session_s,
-            r.full_universe_session_s / r.collapsed_session_s,
-            r.projected_digest,
-            r.stats.patterns_simulated,
-            r.stats.patterns_resimulated,
-            r.stats.atpg_runs,
-            r.stats.atpg_cache_hits + r.stats.podem_cache_hits,
-            r.stats.atpg_cache_hits,
-            r.stats.podem_cache_hits,
-            points
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    ExitCode::SUCCESS
 }

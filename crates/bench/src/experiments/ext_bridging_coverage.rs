@@ -17,14 +17,16 @@
 //! per-fault excitation flags.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin ext_bridging_coverage
-//! cargo run --release -p bist-bench --bin ext_bridging_coverage -- --circuits c432 --quick
+//! bist-bench ext_bridging_coverage
+//! bist-bench ext_bridging_coverage --circuits c432 --quick
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::{banner, ExperimentArgs};
 use bist_bridging::BridgingFaultList;
 use bist_core::prelude::*;
-use bist_engine::{CircuitSource, CoverageCurveSpec, Engine, FaultModel, JobSpec, SolveAtSpec};
+use bist_engine::{CircuitSource, CoverageCurveSpec, FaultModel, JobSpec, SolveAtSpec};
 
 /// Grades `patterns` under the Iddq criterion: a short counts as soon
 /// as it is excited, whether or not the discrepancy reaches an output.
@@ -34,12 +36,12 @@ fn iddq_pct(circuit: &Circuit, universe: &BridgingFaultList, patterns: &[Pattern
     sim.excited_pct()
 }
 
-fn main() {
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c432", "c880"]);
     banner(
         "Extension I",
         "bridging-fault coverage of stuck-at-derived BIST sequences ([Hwa93] cross-check)",
     );
-    let args = ExperimentArgs::parse(&["c432", "c880"]);
     args.warn_fixed_format("ext_bridging_coverage");
     let samples: u32 = if args.quick { 150 } else { 400 };
     let seed = 0x1dd9;
@@ -48,11 +50,8 @@ fn main() {
         seed,
     };
     let p = if args.quick { 128 } else { 512 };
-    let engine = Engine::with_threads(args.threads);
-    let config = MixedSchemeConfig {
-        threads: args.threads,
-        ..MixedSchemeConfig::default()
-    };
+    // the batch pins each job's pool width
+    let config = MixedSchemeConfig::default();
     for circuit in args.load_circuits() {
         let source = CircuitSource::Inline(circuit.clone());
         let universe = BridgingFaultList::sample(&circuit, samples as usize, seed);
@@ -66,15 +65,22 @@ fn main() {
             "sequence", "patterns", "voltage %", "Iddq %"
         );
 
-        let curve = engine
-            .run(JobSpec::CoverageCurve(CoverageCurveSpec {
+        let results = args.run_batch(vec![
+            JobSpec::CoverageCurve(CoverageCurveSpec {
                 circuit: source.clone(),
                 config: config.clone(),
                 checkpoints: vec![p],
                 fault_model: model,
-            }))
-            .expect("curve job succeeds");
-        let curve = curve.as_coverage_curve().expect("curve outcome");
+            }),
+            JobSpec::SolveAt(SolveAtSpec {
+                circuit: source,
+                config: config.clone(),
+                prefix_len: p,
+                fault_model: model,
+                estimate_first: false,
+            }),
+        ]);
+        let curve = results[0].as_coverage_curve().expect("curve outcome");
         let (_, rand_v) = curve.curve.points()[0];
         let width = circuit.inputs().len();
         let random_only = pseudo_random_patterns(config.poly, width, p);
@@ -87,16 +93,7 @@ fn main() {
             rand_q
         );
 
-        let solved = engine
-            .run(JobSpec::SolveAt(SolveAtSpec {
-                circuit: source,
-                config: config.clone(),
-                prefix_len: p,
-                fault_model: model,
-                estimate_first: false,
-            }))
-            .expect("solve job succeeds");
-        let solution = &solved.as_solve_at().expect("solve outcome").solution;
+        let solution = &results[1].as_solve_at().expect("solve outcome").solution;
         let (prefix, suffix) = solution.generator.replay();
         let mixed: Vec<Pattern> = prefix.into_iter().chain(suffix).collect();
         let (mix_v, mix_q) = (
@@ -122,4 +119,5 @@ fn main() {
     println!("fraction of realistic shorts, and the Iddq criterion — excitation");
     println!("without propagation — always reads higher than voltage-sense, which");
     println!("is exactly why the paper lists Iddq merging among BIST's advantages.");
+    ExitCode::SUCCESS
 }

@@ -8,48 +8,47 @@
 //! model, where every deterministic test is an ordered two-pattern pair
 //! that the LFSROM's order-preserving replay applies verbatim.
 //!
-//! The whole experiment is one `JobSpec::Sweep` with
-//! `fault_model: transition` — the exact code path `bist sweep <c>
+//! Each circuit is one `JobSpec::Sweep` with `fault_model: transition`,
+//! batched across the engine pool — the exact code path `bist sweep <c>
 //! --fault-model transition` runs, so these numbers cannot drift from
 //! what users measure.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin ext_delay_coverage
-//! cargo run --release -p bist-bench --bin ext_delay_coverage -- --circuits c432 --quick
+//! bist-bench ext_delay_coverage
+//! bist-bench ext_delay_coverage --circuits c432 --quick
 //! ```
 
-use bist_bench::{banner, ExperimentArgs};
-use bist_engine::{Engine, FaultModel, JobSpec, MixedSchemeConfig, SweepSpec};
+use std::process::ExitCode;
 
-fn main() {
+use bist_bench::{banner, ExperimentArgs};
+use bist_engine::{FaultModel, JobSpec, MixedSchemeConfig, SweepSpec};
+
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c880", "c1355"]);
     banner(
         "Extension D",
         "transition-fault coverage vs mixed sequence composition",
     );
-    let args = ExperimentArgs::parse(&["c880", "c1355"]);
     args.warn_fixed_format("ext_delay_coverage");
     let prefixes: &[usize] = if args.quick {
         &[0, 64]
     } else {
         &[0, 64, 256, 1024]
     };
-    let engine = Engine::with_threads(args.threads);
-    for source in args.sources() {
-        let outcome = engine
-            .run(JobSpec::Sweep(SweepSpec {
-                circuit: source.clone(),
-                config: MixedSchemeConfig {
-                    threads: args.threads,
-                    ..MixedSchemeConfig::default()
-                },
+    let jobs: Vec<JobSpec> = args
+        .sources()
+        .into_iter()
+        .map(|source| {
+            JobSpec::Sweep(SweepSpec {
+                circuit: source,
+                config: MixedSchemeConfig::default(),
                 prefix_lengths: prefixes.to_vec(),
                 fault_model: FaultModel::Transition,
                 estimate_first: false,
-            }))
-            .unwrap_or_else(|e| {
-                eprintln!("sweep failed: {e}");
-                std::process::exit(2);
-            });
+            })
+        })
+        .collect();
+    for outcome in args.run_batch(jobs) {
         let sweep = outcome.as_sweep().expect("sweep outcome");
         let universe = sweep
             .summary
@@ -81,4 +80,5 @@ fn main() {
     println!("\nShape claim: like the paper's Figure 5, every prefix length reaches");
     println!("(essentially) the same final coverage; the deterministic pair count d");
     println!("falls monotonically with p.");
+    ExitCode::SUCCESS
 }

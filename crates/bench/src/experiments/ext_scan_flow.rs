@@ -8,20 +8,22 @@
 //! mixed scheme on the view, and the chain-multiplied test time.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin ext_scan_flow
-//! cargo run --release -p bist-bench --bin ext_scan_flow -- --quick
+//! bist-bench ext_scan_flow
+//! bist-bench ext_scan_flow --quick
 //! ```
 
-use bist_bench::banner;
+use std::process::ExitCode;
+
+use bist_bench::{banner, ExperimentArgs};
 use bist_core::prelude::*;
 use bist_scan::ScanDesign;
 
-fn main() {
+pub fn run(argv: &[String]) -> ExitCode {
+    let quick = ExperimentArgs::parse(argv, &[]).quick;
     banner(
         "Extension S",
         "mixed BIST on scan-wrapped sequential circuits (ISCAS-89 profiles)",
     );
-    let quick = std::env::args().any(|a| a == "--quick");
     let names: &[&str] = if quick {
         &["s27", "s298"]
     } else {
@@ -82,4 +84,5 @@ fn main() {
     println!("\nShape claim: the paper's Figure 7 cost fall carries over unchanged to");
     println!("scan designs; the chain converts patterns to clocks at a fixed rate, so");
     println!("the (p, d) trade-off is also a tester-time trade-off.");
+    ExitCode::SUCCESS
 }

@@ -11,32 +11,29 @@
 //! per circuit, batched across the engine pool.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin ext_tpg_bakeoff
-//! cargo run --release -p bist-bench --bin ext_tpg_bakeoff -- --circuits c880 --quick
+//! bist-bench ext_tpg_bakeoff
+//! bist-bench ext_tpg_bakeoff --circuits c880 --quick
 //! ```
 
-use bist_bench::{banner, ExperimentArgs};
-use bist_engine::{Engine, JobSpec};
+use std::process::ExitCode;
 
-fn main() {
+use bist_bench::{banner, ExperimentArgs};
+use bist_engine::JobSpec;
+
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c432", "c880", "c1355"]);
     banner(
         "Extension B",
         "TPG architecture bake-off (area vs test length vs coverage)",
     );
-    let args = ExperimentArgs::parse(&["c432", "c880", "c1355"]);
     args.warn_fixed_format("ext_tpg_bakeoff");
     let random_length = if args.quick { 200 } else { 1000 };
-    let engine = Engine::with_threads(args.threads);
     let jobs: Vec<JobSpec> = args
         .sources()
         .into_iter()
         .map(|source| JobSpec::bakeoff(source, random_length))
         .collect();
-    for result in engine.run_batch(jobs) {
-        let result = result.unwrap_or_else(|e| {
-            eprintln!("bakeoff job failed: {e}");
-            std::process::exit(2);
-        });
+    for result in args.run_batch(jobs) {
         let outcome = result.as_bakeoff().expect("bakeoff outcome");
         let bakeoff = &outcome.bakeoff;
         println!(
@@ -77,4 +74,5 @@ fn main() {
     println!("\nShape claim: the LFSR is always the cheapest and never reaches the");
     println!("ceiling; all deterministic encoders reproduce the ATPG coverage at a");
     println!("silicon price that tracks how much test-set structure they can share.");
+    ExitCode::SUCCESS
 }

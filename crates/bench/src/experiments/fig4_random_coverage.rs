@@ -9,24 +9,25 @@
 //! batched across the engine pool.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin fig4_random_coverage
-//! cargo run --release -p bist-bench --bin fig4_random_coverage -- --circuits c432,c880 --quick
-//! cargo run --release -p bist-bench --bin fig4_random_coverage -- --format json
+//! bist-bench fig4_random_coverage
+//! bist-bench fig4_random_coverage --circuits c432,c880 --quick
+//! bist-bench fig4_random_coverage --format json
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::output::{Cell, Report, Section, TableData};
 use bist_bench::{paper, ExperimentArgs, LENGTH_CHECKPOINTS};
 use bist_engine::json::Json;
-use bist_engine::{Engine, JobSpec};
+use bist_engine::JobSpec;
 
-fn main() {
-    let args = ExperimentArgs::parse(&["c3540"]);
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c3540"]);
     let checkpoints: Vec<usize> = if args.quick {
         vec![0, 50, 200]
     } else {
         LENGTH_CHECKPOINTS.to_vec()
     };
-    let engine = Engine::with_threads(args.threads);
     let jobs: Vec<JobSpec> = args
         .sources()
         .into_iter()
@@ -37,11 +38,7 @@ fn main() {
         "Figure 4",
         "fault coverage vs pseudo-random sequence length (stuck-at + stuck-open)",
     );
-    for result in engine.run_batch(jobs) {
-        let result = result.unwrap_or_else(|e| {
-            eprintln!("coverage job failed: {e}");
-            std::process::exit(2);
-        });
+    for result in args.run_batch(jobs) {
         let outcome = result.as_coverage_curve().expect("curve outcome");
         let reference: &[(usize, f64)] = if outcome.circuit == "c3540" {
             &paper::FIG4_C3540
@@ -81,4 +78,5 @@ fn main() {
         report.section(section);
     }
     report.emit(args.format);
+    ExitCode::SUCCESS
 }

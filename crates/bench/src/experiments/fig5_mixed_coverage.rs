@@ -9,22 +9,23 @@
 //! `JobSpec::Sweep` per circuit, batched across the engine pool.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin fig5_mixed_coverage
-//! cargo run --release -p bist-bench --bin fig5_mixed_coverage -- --format json
+//! bist-bench fig5_mixed_coverage
+//! bist-bench fig5_mixed_coverage --format json
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::output::{Cell, Report, Section, TableData};
 use bist_bench::ExperimentArgs;
-use bist_engine::{Engine, JobSpec};
+use bist_engine::JobSpec;
 
-fn main() {
-    let args = ExperimentArgs::parse(&["c3540"]);
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c3540"]);
     let prefixes: Vec<usize> = if args.quick {
         vec![0, 100]
     } else {
         vec![0, 100, 200, 500, 1000]
     };
-    let engine = Engine::with_threads(args.threads);
     let jobs: Vec<JobSpec> = args
         .sources()
         .into_iter()
@@ -35,11 +36,7 @@ fn main() {
         "Figure 5",
         "fault coverage vs mixed sequence length for (p, d) tuples",
     );
-    for result in engine.run_batch(jobs) {
-        let result = result.unwrap_or_else(|e| {
-            eprintln!("sweep job failed: {e}");
-            std::process::exit(2);
-        });
+    for result in args.run_batch(jobs) {
         let outcome = result.as_sweep().expect("sweep outcome");
         let mut section = Section::new(&outcome.circuit);
         let mut table = TableData::new(&[
@@ -75,4 +72,5 @@ fn main() {
         report.section(section);
     }
     report.emit(args.format);
+    ExitCode::SUCCESS
 }

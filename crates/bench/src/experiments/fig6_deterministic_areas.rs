@@ -10,21 +10,25 @@
 //! prohibitively expensive for small and mid-size circuits.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin fig6_deterministic_areas
-//! cargo run --release -p bist-bench --bin fig6_deterministic_areas -- --circuits c17,c432,c880
-//! cargo run --release -p bist-bench --bin fig6_deterministic_areas -- --format json
+//! bist-bench fig6_deterministic_areas
+//! bist-bench fig6_deterministic_areas --circuits c17,c432,c880
+//! bist-bench fig6_deterministic_areas --format json
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::output::{Cell, Report, Section, TableData};
 use bist_bench::{paper, ExperimentArgs};
-use bist_engine::{Engine, JobSpec};
+use bist_engine::JobSpec;
 
-fn main() {
-    let args = ExperimentArgs::parse(&[
-        "c17", "c432", "c499", "c880", "c1355", "c1908", "c2670", "c3540", "c5315", "c6288",
-        "c7552",
-    ]);
-    let engine = Engine::with_threads(args.threads);
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(
+        argv,
+        &[
+            "c17", "c432", "c499", "c880", "c1355", "c1908", "c2670", "c3540", "c5315", "c6288",
+            "c7552",
+        ],
+    );
     let jobs: Vec<JobSpec> = args
         .sources()
         .into_iter()
@@ -45,11 +49,7 @@ fn main() {
         ("overhead_pct", "overhead %"),
         ("paper_pct", "paper %"),
     ]);
-    for result in engine.run_batch(jobs) {
-        let result = result.unwrap_or_else(|e| {
-            eprintln!("area job failed: {e}");
-            std::process::exit(2);
-        });
+    for result in args.run_batch(jobs) {
         let r = result.as_area_report().expect("area outcome");
         let reference = paper::FIG6_OVERHEAD_PCT
             .iter()
@@ -70,4 +70,5 @@ fn main() {
     section.note("shape check: overhead decreases as circuits grow (c17 >> c3540 > c6288)");
     report.section(section);
     report.emit(args.format);
+    ExitCode::SUCCESS
 }

@@ -9,18 +9,20 @@
 //! netlist priced by the same area model.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin fig7_mixed_cost
-//! cargo run --release -p bist-bench --bin fig7_mixed_cost -- --format json
+//! bist-bench fig7_mixed_cost
+//! bist-bench fig7_mixed_cost --format json
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::output::{Cell, Report, Section, TableData};
 use bist_bench::{paper, ExperimentArgs};
 use bist_core::prelude::*;
 use bist_engine::json::Json;
-use bist_engine::{Engine, JobSpec};
+use bist_engine::JobSpec;
 
-fn main() {
-    let args = ExperimentArgs::parse(&["c3540"]);
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c3540"]);
     let prefixes: Vec<usize> = if args.quick {
         vec![0, 200]
     } else {
@@ -28,7 +30,6 @@ fn main() {
     };
     let config = MixedSchemeConfig::default();
     let lfsr_mm2 = config.area.circuit_area_mm2(&lfsr_netlist(config.poly));
-    let engine = Engine::with_threads(args.threads);
     let jobs: Vec<JobSpec> = args
         .sources()
         .into_iter()
@@ -36,11 +37,7 @@ fn main() {
         .collect();
 
     let mut report = Report::new("Figure 7", "mixed generator cost vs mixed sequence length");
-    for result in engine.run_batch(jobs) {
-        let result = result.unwrap_or_else(|e| {
-            eprintln!("sweep job failed: {e}");
-            std::process::exit(2);
-        });
+    for result in args.run_batch(jobs) {
         let outcome = result.as_sweep().expect("sweep outcome");
         let mut section = Section::new(&outcome.circuit);
         section.fact("lfsr_asymptote_mm2", Json::Float(lfsr_mm2));
@@ -83,4 +80,5 @@ fn main() {
         report.section(section);
     }
     report.emit(args.format);
+    ExitCode::SUCCESS
 }

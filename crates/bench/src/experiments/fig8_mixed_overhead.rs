@@ -7,17 +7,19 @@
 //! ≈20 %. One `JobSpec::Sweep` per circuit.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin fig8_mixed_overhead
-//! cargo run --release -p bist-bench --bin fig8_mixed_overhead -- --format json
+//! bist-bench fig8_mixed_overhead
+//! bist-bench fig8_mixed_overhead --format json
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::output::{Cell, Report, Section, TableData};
 use bist_bench::{paper, ExperimentArgs};
 use bist_core::prelude::*;
-use bist_engine::{Engine, JobSpec};
+use bist_engine::JobSpec;
 
-fn main() {
-    let args = ExperimentArgs::parse(&["c3540"]);
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c3540"]);
     let prefixes: Vec<usize> = if args.quick {
         vec![0, 200]
     } else {
@@ -25,7 +27,6 @@ fn main() {
     };
     let config = MixedSchemeConfig::default();
     let lfsr_mm2 = config.area.circuit_area_mm2(&lfsr_netlist(config.poly));
-    let engine = Engine::with_threads(args.threads);
     let jobs: Vec<JobSpec> = args
         .sources()
         .into_iter()
@@ -36,11 +37,7 @@ fn main() {
         "Figure 8",
         "mixed generator overhead (% of nominal chip) vs mixed length",
     );
-    for result in engine.run_batch(jobs) {
-        let result = result.unwrap_or_else(|e| {
-            eprintln!("sweep job failed: {e}");
-            std::process::exit(2);
-        });
+    for result in args.run_batch(jobs) {
         let outcome = result.as_sweep().expect("sweep outcome");
         let mut section = Section::new(&outcome.circuit);
         let mut table = TableData::new(&[
@@ -77,4 +74,5 @@ fn main() {
         report.section(section);
     }
     report.emit(args.format);
+    ExitCode::SUCCESS
 }

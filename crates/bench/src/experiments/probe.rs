@@ -3,8 +3,8 @@
 //! how much work the search kernel does for it.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin probe                  # c432, c1908
-//! cargo run --release -p bist-bench --bin probe -- --circuits c3540
+//! bist-bench probe                  # c432, c1908
+//! bist-bench probe --circuits c3540
 //! ```
 //!
 //! Per circuit it prints the outcome split (tests / redundant / aborted),
@@ -20,15 +20,17 @@
 //! pins for c432 (and, through `podem_probe_every`, for every 8th c2670
 //! representative).
 
+use std::process::ExitCode;
+
 use bist_atpg::podem_probe;
 use bist_bench::{banner, ExperimentArgs};
 
-fn main() {
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &["c432", "c1908"]);
     banner(
         "PODEM probe",
         "one search per stuck-at representative: outcomes, time, work counters",
     );
-    let args = ExperimentArgs::parse(&["c432", "c1908"]);
     args.warn_fixed_format("probe");
     for circuit in args.load_circuits() {
         let probe = podem_probe(&circuit);
@@ -57,4 +59,5 @@ fn main() {
             counters.evaluations as f64 / counters.decisions.max(1) as f64
         );
     }
+    ExitCode::SUCCESS
 }

@@ -10,25 +10,29 @@
 //! reach deterministic coverage.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin table1_extremes
-//! cargo run --release -p bist-bench --bin table1_extremes -- --circuits c17,c432
-//! cargo run --release -p bist-bench --bin table1_extremes -- --format json
+//! bist-bench table1_extremes
+//! bist-bench table1_extremes --circuits c17,c432
+//! bist-bench table1_extremes --format json
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::output::{Cell, Report, Section, TableData};
 use bist_bench::ExperimentArgs;
 use bist_core::prelude::*;
 use bist_engine::json::Json;
-use bist_engine::{Engine, JobSpec};
+use bist_engine::JobSpec;
 
-fn main() {
-    let args = ExperimentArgs::parse(&[
-        "c17", "c432", "c499", "c880", "c1355", "c1908", "c2670", "c3540", "c5315", "c6288",
-        "c7552",
-    ]);
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(
+        argv,
+        &[
+            "c17", "c432", "c499", "c880", "c1355", "c1908", "c2670", "c3540", "c5315", "c6288",
+            "c7552",
+        ],
+    );
     let config = MixedSchemeConfig::default();
     let lfsr_mm2 = config.area.circuit_area_mm2(&lfsr_netlist(config.poly));
-    let engine = Engine::with_threads(args.threads);
     let jobs: Vec<JobSpec> = args
         .sources()
         .into_iter()
@@ -51,11 +55,7 @@ fn main() {
         ("lfsr_mm2", "LFSR mm2"),
         ("lfsr_incr_pct", "incr %"),
     ]);
-    for result in engine.run_batch(jobs) {
-        let result = result.unwrap_or_else(|e| {
-            eprintln!("area job failed: {e}");
-            std::process::exit(2);
-        });
+    for result in args.run_batch(jobs) {
         let r = result.as_area_report().expect("area outcome");
         table.row(vec![
             Cell::text(&r.circuit),
@@ -73,4 +73,5 @@ fn main() {
         .note("(paper reference: C3540 row = 3.8 | 144 patterns, 2.5 mm², 68 % | 0.25 mm², 7.5 %)");
     report.section(section);
     report.emit(args.format);
+    ExitCode::SUCCESS
 }

@@ -14,18 +14,20 @@
 //! a factor of a few versus the deterministic extreme.
 //!
 //! ```text
-//! cargo run --release -p bist-bench --bin table2_mixed_solutions
-//! cargo run --release -p bist-bench --bin table2_mixed_solutions -- --circuits c3540 --quick
-//! cargo run --release -p bist-bench --bin table2_mixed_solutions -- --format json
+//! bist-bench table2_mixed_solutions
+//! bist-bench table2_mixed_solutions --circuits c3540 --quick
+//! bist-bench table2_mixed_solutions --format json
 //! ```
+
+use std::process::ExitCode;
 
 use bist_bench::output::{Cell, Report, Section, TableData};
 use bist_bench::{paper, ExperimentArgs};
 use bist_core::prelude::*;
-use bist_engine::{Engine, JobSpec};
+use bist_engine::JobSpec;
 
-fn main() {
-    let args = ExperimentArgs::parse(&paper::TABLE2_CIRCUITS);
+pub fn run(argv: &[String]) -> ExitCode {
+    let args = ExperimentArgs::parse(argv, &paper::TABLE2_CIRCUITS);
     let (prefixes, inf_len): (Vec<usize>, usize) = if args.quick {
         (vec![0, 200], 1000)
     } else {
@@ -33,26 +35,17 @@ fn main() {
     };
     let config = MixedSchemeConfig::default();
     let lfsr_mm2 = config.area.circuit_area_mm2(&lfsr_netlist(config.poly));
-    let engine = Engine::with_threads(args.threads);
 
     let mut report = Report::new(
         "Table 2",
         "mixed test solutions for the larger ISCAS-85 circuits",
     );
     for source in args.sources() {
-        let jobs = vec![
+        let results = args.run_batch(vec![
             JobSpec::sweep(source.clone(), prefixes.clone()),
             JobSpec::coverage_curve(source, [inf_len]),
-        ];
-        let mut results = engine.run_batch(jobs).into_iter();
-        let sweep = results.next().expect("two jobs").unwrap_or_else(|e| {
-            eprintln!("sweep job failed: {e}");
-            std::process::exit(2);
-        });
-        let curve = results.next().expect("two jobs").unwrap_or_else(|e| {
-            eprintln!("coverage job failed: {e}");
-            std::process::exit(2);
-        });
+        ]);
+        let (sweep, curve) = (&results[0], &results[1]);
         let outcome = sweep.as_sweep().expect("sweep outcome");
         let mut section = Section::new(&outcome.circuit);
         let mut table = TableData::new(&[
@@ -97,4 +90,5 @@ fn main() {
         report.section(section);
     }
     report.emit(args.format);
+    ExitCode::SUCCESS
 }

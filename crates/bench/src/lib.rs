@@ -1,10 +1,13 @@
 //! Experiment harness for the LFSROM mixed-BIST reproduction.
 //!
-//! One binary per table/figure of the paper regenerates the corresponding
-//! data (`src/bin/fig4_random_coverage.rs` … `table2_mixed_solutions.rs`),
-//! and one Criterion bench per experiment measures the underlying kernels
-//! (`benches/`). This library holds the pieces they share: the paper's
-//! reference numbers, result formatting, and experiment configuration.
+//! One binary, `bist-bench`, whose first argument names the experiment:
+//! the paper's figures and tables (`fig4_random_coverage` …
+//! `table2_mixed_solutions`), the extensions (`ext_*`), the perf
+//! harness that writes the `BENCH_*.json` artifacts (`bench_*`), the CI
+//! gate on them (`bench_check`) and the PODEM probe (`probe`);
+//! `bist-bench help` lists them. This library holds the pieces they
+//! share: the paper's reference numbers, the one argument parser,
+//! result formatting and the artifact schema.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +17,7 @@ pub mod paper;
 pub mod schema;
 
 use bist_core::prelude::*;
-use bist_engine::CircuitSource;
+use bist_engine::{CircuitSource, Engine, JobResult, JobSpec};
 
 use crate::output::OutputFormat;
 
@@ -22,90 +25,81 @@ use crate::output::OutputFormat;
 /// (its x-axis runs 0..1000).
 pub const LENGTH_CHECKPOINTS: [usize; 11] = [0, 25, 50, 100, 200, 300, 400, 500, 700, 900, 1000];
 
-/// The prefix lengths the paper sweeps for the mixed trade-off
-/// (Figures 5/7/8, Table 2).
-pub const PREFIX_SWEEP: [usize; 6] = [0, 100, 200, 500, 1000, 5000];
-
-/// Parses `--circuits a,b,c` and `--quick` style command-line arguments
-/// shared by the experiment binaries.
+/// The flags every experiment accepts, parsed from the arguments after
+/// the experiment name.
 #[derive(Debug, Clone)]
 pub struct ExperimentArgs {
-    /// Benchmark circuits to run on.
+    /// Benchmark circuits to run on (`--circuits a,b,c`).
     pub circuits: Vec<String>,
-    /// Reduced parameter ranges for smoke runs.
+    /// Reduced parameter ranges for smoke runs (`--quick`).
     pub quick: bool,
-    /// Pool width for the parallel engines (`0` = automatic:
-    /// `BIST_THREADS` or the machine width).
+    /// Pool width for the parallel engines (`--threads N`; `0` =
+    /// automatic: `BIST_THREADS` or the machine width).
     pub threads: usize,
     /// Output format (`--format text|json`).
     pub format: OutputFormat,
-    /// Extra flags the shared parser did not recognize, for binaries with
-    /// private switches.
-    pub extra: Vec<String>,
+    /// Pattern budget of the experiments that grade one fixed-length
+    /// sequence (`--patterns N`); `None` keeps each one's default.
+    pub patterns: Option<usize>,
 }
 
 impl ExperimentArgs {
-    /// Parses `std::env::args`, with `default_circuits` when none are
-    /// requested.
-    pub fn parse(default_circuits: &[&str]) -> Self {
-        let mut circuits: Vec<String> = Vec::new();
-        let mut quick = false;
-        let mut threads = 0usize;
-        let mut format = OutputFormat::Text;
-        let mut extra: Vec<String> = Vec::new();
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => quick = true,
-                "--circuits" => {
-                    if let Some(list) = args.next() {
-                        circuits = list.split(',').map(str::to_owned).collect();
+    /// Parses `args`, with `default_circuits` when none are requested.
+    /// An unknown flag, a flag without its value or a malformed value
+    /// is a usage error: it prints the problem and exits with status 2.
+    pub fn parse(args: &[String], default_circuits: &[&str]) -> Self {
+        Self::try_parse(args, default_circuits).unwrap_or_else(|message| {
+            eprintln!("usage error: {message}");
+            eprintln!(
+                "flags: --circuits a,b  --quick  --threads N  --format text|json  --patterns N"
+            );
+            std::process::exit(2);
+        })
+    }
+
+    fn try_parse(args: &[String], default_circuits: &[&str]) -> Result<Self, String> {
+        let mut parsed = ExperimentArgs {
+            circuits: default_circuits.iter().map(|s| (*s).to_owned()).collect(),
+            quick: false,
+            threads: 0,
+            format: OutputFormat::Text,
+            patterns: None,
+        };
+        let count = |flag: &str, value: &str| {
+            value
+                .parse::<usize>()
+                .map_err(|_| format!("{flag} takes a count, got `{value}`"))
+        };
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            if flag == "--quick" {
+                parsed.quick = true;
+                continue;
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} takes a value"));
+            match flag.as_str() {
+                "--circuits" => parsed.circuits = value?.split(',').map(str::to_owned).collect(),
+                "--threads" => parsed.threads = count(flag, value?)?,
+                "--patterns" => parsed.patterns = Some(count(flag, value?)?),
+                "--format" => {
+                    parsed.format = match value?.as_str() {
+                        "text" => OutputFormat::Text,
+                        "json" => OutputFormat::Json,
+                        other => return Err(format!("--format takes text or json, got `{other}`")),
                     }
                 }
-                "--threads" => {
-                    threads = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--threads takes a thread count");
-                }
-                "--format" => {
-                    format = match args.next().as_deref() {
-                        Some("text") => OutputFormat::Text,
-                        Some("json") => OutputFormat::Json,
-                        other => panic!("--format takes text or json, got {other:?}"),
-                    };
-                }
-                other => {
-                    // binaries with private switches consume these via
-                    // `has_flag`; the note keeps typos diagnosable
-                    eprintln!("note: passing `{other}` through to the binary");
-                    extra.push(other.to_owned());
-                }
+                _ => return Err(format!("unknown flag `{flag}`")),
             }
         }
-        if circuits.is_empty() {
-            circuits = default_circuits.iter().map(|s| (*s).to_owned()).collect();
-        }
-        ExperimentArgs {
-            circuits,
-            quick,
-            threads,
-            format,
-            extra,
-        }
+        Ok(parsed)
     }
 
-    /// True when flag `name` appeared among the unrecognized arguments.
-    pub fn has_flag(&self, name: &str) -> bool {
-        self.extra.iter().any(|a| a == name)
-    }
-
-    /// For binaries whose output format is fixed (perf harness, digest
-    /// fingerprints): warns when the shared `--format` flag asked for
-    /// anything else, instead of silently ignoring it.
-    pub fn warn_fixed_format(&self, binary: &str) {
+    /// For experiments whose output format is fixed (perf harness,
+    /// probe): warns when `--format` asked for anything else, instead
+    /// of silently ignoring it.
+    pub fn warn_fixed_format(&self, experiment: &str) {
         if self.format != OutputFormat::Text {
-            eprintln!("note: {binary} emits a fixed output format; --format json is ignored");
+            eprintln!("note: {experiment} emits a fixed output format; --format json is ignored");
         }
     }
 
@@ -117,8 +111,8 @@ impl ExperimentArgs {
     }
 
     /// Loads the requested circuits eagerly, exiting with a clear message
-    /// on unknown names (for harness binaries that drive the substrate
-    /// crates directly rather than through the engine).
+    /// on unknown names (for experiments that drive the substrate crates
+    /// directly rather than through the engine).
     pub fn load_circuits(&self) -> Vec<Circuit> {
         self.circuits
             .iter()
@@ -130,10 +124,26 @@ impl ExperimentArgs {
             })
             .collect()
     }
+
+    /// Runs `jobs` as one batch on an engine of the `--threads` width
+    /// and returns their results in order; a failed job prints its
+    /// error and exits with status 2.
+    pub fn run_batch(&self, jobs: Vec<JobSpec>) -> Vec<JobResult> {
+        Engine::with_threads(self.threads)
+            .run_batch(jobs)
+            .into_iter()
+            .map(|result| {
+                result.unwrap_or_else(|e| {
+                    eprintln!("job failed: {e}");
+                    std::process::exit(2);
+                })
+            })
+            .collect()
+    }
 }
 
-/// A standard banner so every experiment binary's output is self-dating
-/// and self-describing.
+/// A standard banner so every experiment's output is self-dating and
+/// self-describing.
 pub fn banner(experiment: &str, what: &str) {
     println!("================================================================");
     println!("{experiment} — {what}");
@@ -147,14 +157,30 @@ mod tests {
 
     #[test]
     fn default_circuits_load() {
-        let args = ExperimentArgs {
-            circuits: vec!["c17".into()],
-            quick: true,
-            threads: 0,
-            format: OutputFormat::Text,
-            extra: Vec::new(),
-        };
-        assert_eq!(args.load_circuits().len(), 1);
-        assert!(!args.has_flag("--check-serial"));
+        let parsed = ExperimentArgs::parse(&[], &["c17"]);
+        assert_eq!(parsed.load_circuits().len(), 1);
+        assert!(!parsed.quick);
+        assert_eq!(parsed.patterns, None);
+    }
+
+    #[test]
+    fn every_flag_parses() {
+        let words = [
+            "--circuits",
+            "c432,c880",
+            "--quick",
+            "--threads",
+            "4",
+            "--format",
+            "json",
+            "--patterns",
+            "2048",
+        ];
+        let parsed = ExperimentArgs::parse(&words.map(str::to_owned), &["c17"]);
+        assert_eq!(parsed.circuits, ["c432", "c880"]);
+        assert!(parsed.quick);
+        assert_eq!(parsed.threads, 4);
+        assert_eq!(parsed.format, OutputFormat::Json);
+        assert_eq!(parsed.patterns, Some(2048));
     }
 }

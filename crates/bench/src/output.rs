@@ -1,8 +1,8 @@
-//! Shared output plumbing for the experiment binaries.
+//! Shared output plumbing for the experiments.
 //!
-//! Every figure/table binary builds a [`Report`] — sections of
+//! Every figure/table experiment builds a [`Report`] — sections of
 //! key/value facts, one aligned table each, free-form notes — and emits
-//! it once, in the format `--format` selected. The binaries keep their
+//! it once, in the format `--format` selected. The experiments keep their
 //! scientific content (which jobs to run, which assertions must hold);
 //! how results reach stdout lives here, in one place, for all of them.
 
@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use bist_engine::json::Json;
 
-/// Output format of the experiment binaries (`--format text|json`).
+/// Output format of the experiments (`--format text|json`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutputFormat {
     /// Banner + aligned tables (the historical output).
@@ -86,7 +86,7 @@ impl TableData {
     /// # Panics
     ///
     /// Panics when the row width does not match the column count — a
-    /// binary bug, not a data condition.
+    /// harness bug, not a data condition.
     pub fn row(&mut self, cells: Vec<Cell>) {
         assert_eq!(cells.len(), self.columns.len(), "row width mismatch");
         self.rows.push(cells);

@@ -1,29 +1,33 @@
-//! The `BENCH_sweep.json` schema contract, shared by producer and
+//! The `BENCH_*.json` artifact contract, shared by producers and
 //! consumers.
 //!
-//! `bench_sweep` (the writer), `bench_check` (the CI gate) and any
-//! future reader must agree on the layout version and on how the fixed
-//! format is picked apart. Before this module existed the version
-//! constant and the field scrapers were duplicated per binary and could
-//! drift silently; now there is exactly one copy, unit-tested here.
+//! Every artifact is a [`Json`] tree written by [`write_artifact`], which
+//! stamps the same three header keys on all of them, and `bench_check`
+//! reads `BENCH_sweep.json` back with [`bist_engine::json::parse`]. The
+//! layout version, the header and the `points` spelling live here, in
+//! one copy, so writer and checker cannot drift apart.
 
-/// Version of the `BENCH_sweep.json` layout. The writer stamps it, the
-/// checker refuses files that do not declare exactly this value.
-pub const SCHEMA_VERSION: u64 = 2;
+use bist_core::prelude::MixedSolution;
+use bist_engine::json::Json;
 
-/// Checks one file's `schema_version` declaration against
+/// Version of the artifact layout. The writer stamps it, the checker
+/// refuses files that do not declare exactly this value.
+pub const SCHEMA_VERSION: i64 = 2;
+
+/// Checks one parsed file's `schema_version` against
 /// [`SCHEMA_VERSION`], explaining exactly what is wrong otherwise.
 ///
 /// # Errors
 ///
 /// A human-readable message naming `path` and the remedy.
-pub fn check_schema(path: &str, json: &str) -> Result<(), String> {
-    match num_field(json, "schema_version") {
-        Some(v) if v == SCHEMA_VERSION as f64 => Ok(()),
-        Some(v) => Err(format!(
-            "{path}: schema_version {v} does not match the supported version \
+pub fn check_schema(path: &str, doc: &Json) -> Result<(), String> {
+    match doc.get("schema_version") {
+        Some(Json::Int(SCHEMA_VERSION)) => Ok(()),
+        Some(other) => Err(format!(
+            "{path}: schema_version {} does not match the supported version \
              {SCHEMA_VERSION}; regenerate the file with this tree's bench_sweep \
-             (or update the committed baseline)"
+             (or update the committed baseline)",
+            other.render()
         )),
         None => Err(format!(
             "{path}: no schema_version field — the file predates the versioned \
@@ -32,56 +36,46 @@ pub fn check_schema(path: &str, json: &str) -> Result<(), String> {
     }
 }
 
-/// Splits the fixed `bench_sweep` format into `(circuit_name, block)`
-/// pairs, each block running up to the next circuit entry.
-pub fn circuit_blocks(json: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let marker = "\"circuit\": \"";
-    let mut rest = json;
-    while let Some(at) = rest.find(marker) {
-        let after = &rest[at + marker.len()..];
-        let Some(name_end) = after.find('"') else {
-            break;
-        };
-        let name = after[..name_end].to_owned();
-        let body_end = after.find(marker).unwrap_or(after.len());
-        out.push((name, after[..body_end].to_owned()));
-        rest = &after[body_end..];
+/// Writes one artifact into the current directory: `experiment`,
+/// `schema_version` and `available_parallelism` (the machine's width,
+/// whatever pool width the run used), then `fields` in order.
+///
+/// # Panics
+///
+/// Panics when the current directory is not writable.
+pub fn write_artifact(file: &str, experiment: &str, fields: Vec<(&str, Json)>) {
+    let machine = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let mut doc = Json::object();
+    doc.push("experiment", Json::str(experiment))
+        .push("schema_version", Json::Int(SCHEMA_VERSION))
+        .push("available_parallelism", Json::uint(machine));
+    for (key, value) in fields {
+        doc.push(key, value);
     }
-    out
+    let text = doc.render_pretty();
+    std::fs::write(file, &text).expect("writable working directory");
+    println!("\nwrote {file} ({} bytes)", text.len());
 }
 
-/// The numeric value following `"key":` in `block`.
-pub fn num_field(block: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = block.find(&pat)? + pat.len();
-    let rest = block[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The raw `(p, d)` list of a circuit block, order-preserving.
-pub fn points_of(block: &str) -> Option<Vec<(u64, u64)>> {
-    let start = block.find("\"points\":")?;
-    let seg = &block[start..];
-    let end = seg.find(']')?;
-    let seg = &seg[..end];
-    let mut points = Vec::new();
-    let mut rest = seg;
-    while let Some(at) = rest.find("{\"p\":") {
-        let item = &rest[at..];
-        let p = num_field(item, "p")? as u64;
-        let d = num_field(item, "d")? as u64;
-        points.push((p, d));
-        rest = &item["{\"p\":".len()..];
-    }
-    Some(points)
+/// A sweep's solved frontier as the artifacts spell it:
+/// `[{"p": prefix, "d": suffix}, …]`, in request order.
+pub fn points(solutions: &[MixedSolution]) -> Json {
+    Json::Array(
+        solutions
+            .iter()
+            .map(|s| {
+                let mut point = Json::object();
+                point
+                    .push("p", Json::uint(s.prefix_len))
+                    .push("d", Json::uint(s.det_len));
+                point
+            })
+            .collect(),
+    )
 }
 
 /// FNV-1a, 64-bit: the tiny, dependency-free, platform-stable hash
-/// behind `sweep_digest`'s fingerprints.
+/// behind the artifacts' `projected_digest` and `session_digest`.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -112,6 +106,7 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bist_engine::json::parse;
 
     const SAMPLE: &str = r#"{
   "schema_version": 2,
@@ -121,12 +116,6 @@ mod tests {
       "speedup": 2.301,
       "patterns_simulated": 100,
       "points": [{"p": 0, "d": 50}, {"p": 100, "d": 24}]
-    },
-    {
-      "circuit": "c3540",
-      "speedup": 1.5,
-      "patterns_simulated": 1000,
-      "points": [{"p": 0, "d": 144}]
     }
   ]
 }
@@ -134,31 +123,16 @@ mod tests {
 
     #[test]
     fn schema_gate_accepts_the_current_version_only() {
-        assert!(check_schema("ok.json", SAMPLE).is_ok());
+        let doc = |text: &str| parse(text).expect("valid JSON");
+        assert!(check_schema("ok.json", &doc(SAMPLE)).is_ok());
         let older = SAMPLE.replace("\"schema_version\": 2", "\"schema_version\": 1");
-        let message = check_schema("old.json", &older).expect_err("older layout");
+        let message = check_schema("old.json", &doc(&older)).expect_err("older layout");
         assert!(message.contains("old.json"));
-        assert!(message.contains("does not match"));
-        let missing = check_schema("none.json", "{}").expect_err("unversioned layout");
+        assert!(message.contains("schema_version 1 does not match"));
+        let float = SAMPLE.replace("\"schema_version\": 2", "\"schema_version\": 2.0");
+        assert!(check_schema("float.json", &doc(&float)).is_err());
+        let missing = check_schema("none.json", &doc("{}")).expect_err("unversioned layout");
         assert!(missing.contains("no schema_version"));
-    }
-
-    #[test]
-    fn blocks_fields_and_points_scrape_correctly() {
-        let blocks = circuit_blocks(SAMPLE);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].0, "c432");
-        assert_eq!(num_field(&blocks[0].1, "speedup"), Some(2.301));
-        assert_eq!(num_field(&blocks[0].1, "patterns_simulated"), Some(100.0));
-        assert_eq!(num_field(&blocks[0].1, "no_such_key"), None);
-        assert_eq!(
-            points_of(&blocks[0].1).expect("points present"),
-            vec![(0, 50), (100, 24)]
-        );
-        assert_eq!(
-            points_of(&blocks[1].1).expect("points present"),
-            vec![(0, 144)]
-        );
     }
 
     #[test]
